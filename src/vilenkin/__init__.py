@@ -63,6 +63,7 @@ from .verify import (
     tail_decompose,
     theorem1_report,
     theorem2_report,
+    theorem_reports,
 )
 
 __version__ = "0.1.0"

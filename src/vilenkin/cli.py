@@ -32,7 +32,6 @@ from .kernels import (
     paley_check,
 )
 from .transform import SampledFunction2D
-from .approx import modulus
 from .verify import (
     FunctionFamily,
     RatioReport,
@@ -41,8 +40,7 @@ from .verify import (
     lemma4_report,
     lemma5_report,
     parse_family,
-    theorem1_report,
-    theorem2_report,
+    theorem_reports,
 )
 
 __all__ = [
@@ -103,8 +101,8 @@ class RunConfig:
         if not self.alpha:
             raise ConfigError("field 'alpha': empty list")
         for q in self.p:
-            if not math.isinf(q) and q < 1.0:
-                raise ConfigError(f"field 'p': value {q} below 1")
+            if not q >= 1.0:
+                raise ConfigError(f"field 'p': value {q} is not >= 1 or inf")
         if not self.p:
             raise ConfigError("field 'p': empty list")
         for claim in self.claims:
@@ -138,6 +136,15 @@ def _parse_m(value) -> tuple[int, ...]:
     if not gens:
         raise ConfigError("field 'm': empty generator sequence")
     return gens
+
+
+def _parse_int(value, field_name: str) -> int:
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"field {field_name!r}: expected an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"field {field_name!r}: {exc}") from exc
 
 
 def _parse_floats(value, field_name: str) -> tuple[float, ...]:
@@ -209,10 +216,7 @@ def load_config(config_path: str | None, overrides: dict) -> RunConfig:
     if "m" in overrides:
         cfg.m = _parse_m(overrides["m"])
     if "level" in overrides and overrides["level"] is not None:
-        try:
-            cfg.level = int(overrides["level"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"field 'level': {exc}") from exc
+        cfg.level = _parse_int(overrides["level"], "level")
     if "alpha" in overrides:
         cfg.alpha = _parse_floats(overrides["alpha"], "alpha")
     if "p" in overrides:
@@ -224,10 +228,7 @@ def load_config(config_path: str | None, overrides: dict) -> RunConfig:
     if "out" in overrides:
         cfg.out = str(overrides["out"])
     if "jobs" in overrides:
-        try:
-            cfg.jobs = int(overrides["jobs"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"field 'jobs': {exc}") from exc
+        cfg.jobs = _parse_int(overrides["jobs"], "jobs")
     if "cap_file" in overrides and overrides["cap_file"] is not None:
         cfg.cap_file = str(overrides["cap_file"])
     cfg.validate()
@@ -305,13 +306,6 @@ def _built_function(ctx: GroupContext, family: FunctionFamily) -> SampledFunctio
     return family.build(ctx)
 
 
-@lru_cache(maxsize=16384)
-def _cached_omega(
-    ctx: GroupContext, family: FunctionFamily, kind: str, level: int, p: float
-) -> float:
-    return modulus(_built_function(ctx, family), kind, level, p).value
-
-
 def default_families(ctx: GroupContext) -> tuple[str, ...]:
     """Deterministic test corpus sized to the context resolution."""
     size = ctx.size
@@ -383,41 +377,25 @@ def _claim_tasks(cfg: RunConfig, ctx: GroupContext) -> list[Callable[[], list[Re
     family_labels = cfg.families if cfg.families is not None else default_families(ctx)
     families = [parse_family(label) for label in family_labels]
 
-    def theorem_task(claim, family, alpha, p, order):
-        def run() -> list[ReportRow]:
-            omega = lambda kind, lvl: _cached_omega(ctx, family, kind, lvl, p)
+    levels = range(1, ctx.level) if "theorem1" in cfg.claims else ()
+    orders = theorem2_orders(ctx) if "theorem2" in cfg.claims else ()
+    for family in families if levels or orders else ():
+        def theorem_task(family=family) -> list[ReportRow]:
             try:
                 fun = _built_function(ctx, family)
-                if claim == "theorem1":
-                    report = theorem1_report(fun, alpha, order, p, omega_fn=omega)
-                else:
-                    report = theorem2_report(fun, alpha, order, p, omega_fn=omega)
+                reports = theorem_reports(fun, cfg.alpha, cfg.p, levels, orders)
             except ResolutionExceededError as exc:
-                return [ReportRow(
-                    claim=claim, family=family.label, seed=family.seed,
-                    alpha=alpha, p=p,
-                    k=order if claim == "theorem1" else None,
-                    n=None if claim == "theorem1" else order,
-                    error=str(exc),
-                )]
-            return [ReportRow.from_report(
-                report.with_family(family.label, family.seed)
-            )]
+                cases = [("theorem1", k, None) for k in levels]
+                cases += [("theorem2", None, n) for n in orders]
+                return [
+                    ReportRow(claim=claim, family=family.label, seed=family.seed,
+                              alpha=alpha, p=p, k=k, n=n, error=str(exc))
+                    for claim, k, n in cases for alpha in cfg.alpha for p in cfg.p
+                ]
+            return [ReportRow.from_report(report.with_family(family.label, family.seed))
+                    for report in reports]
 
-        return run
-
-    if "theorem1" in cfg.claims:
-        for family in families:
-            for alpha in cfg.alpha:
-                for p in cfg.p:
-                    for k in range(1, ctx.level):
-                        tasks.append(theorem_task("theorem1", family, alpha, p, k))
-    if "theorem2" in cfg.claims:
-        for family in families:
-            for alpha in cfg.alpha:
-                for p in cfg.p:
-                    for n in theorem2_orders(ctx):
-                        tasks.append(theorem_task("theorem2", family, alpha, p, n))
+        tasks.append(theorem_task)
     if "lemma1" in cfg.claims:
         def lemma1_task() -> list[ReportRow]:
             rows = []
@@ -483,7 +461,9 @@ def summarize(cfg: RunConfig, rows: Sequence[ReportRow]) -> dict:
                 if r.ratio is not None and (r.alpha is None or r.alpha == alpha)
             ]
             if matching:
-                per_alpha[_fmt(alpha)] = max(matching)
+                # max() drops a NaN that is not first; keep it so the cap gate sees it
+                nan = any(math.isnan(v) for v in matching)
+                per_alpha[_fmt(alpha)] = math.nan if nan else max(matching)
         summary[claim] = per_alpha
     summary["system"] = "dyadic" if all(v == 2 for v in cfg.m) else "vilenkin"
     return summary
@@ -494,28 +474,61 @@ def _summary_path(out: str) -> str:
     return str(path.with_suffix(".summary.json"))
 
 
-def _check_caps(cfg: RunConfig, summary: dict) -> list[str]:
-    if cfg.cap_file is None:
-        return []
+def _cap_number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"cap {value!r} is not a number")
+    return float(value)
+
+
+def _load_caps(path: str | None) -> dict[str, float | dict[float, float]]:
+    """A cap file as {claim: cap} or {claim: {alpha: cap}}, alphas as floats."""
+    if path is None:
+        return {}
     try:
-        caps = json.loads(Path(cfg.cap_file).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise ConfigError(f"cannot read cap file {cfg.cap_file}: {exc}") from exc
+        raise ConfigError(f"cannot read cap file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
-            f"cap file {cfg.cap_file}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            f"cap file {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"cap file {path}: expected a JSON object")
+    caps: dict[str, float | dict[float, float]] = {}
+    for claim, entry in doc.items():
+        if claim not in CLAIMS + ("lemma0",):
+            raise ConfigError(f"cap file {path}: unknown claim {claim!r}")
+        try:
+            if isinstance(entry, dict):
+                caps[claim] = {float(a): _cap_number(c) for a, c in entry.items()}
+            else:
+                caps[claim] = _cap_number(entry)
+        except ValueError as exc:
+            raise ConfigError(f"cap file {path}: claim {claim!r}: {exc}") from exc
+    return caps
+
+
+def _check_caps(cfg: RunConfig, caps: dict, summary: dict) -> list[str]:
+    """Breaches of the caps on the claims this run computed.
+
+    Alphas match by value.  A capped claim/alpha with no successful row
+    (every row errored, or none was made) is a breach, as is a NaN ratio.
+    """
     breaches = []
     for claim, entry in caps.items():
         observed = summary.get(claim)
-        if not isinstance(observed, dict):
+        if observed is None:
             continue
-        for alpha_key, value in observed.items():
-            cap = entry.get(alpha_key) if isinstance(entry, dict) else entry
-            if cap is not None and value > float(cap):
-                breaches.append(
-                    f"{claim} alpha={alpha_key}: ratio {value:.6g} exceeds cap {cap}"
-                )
+        for alpha in cfg.alpha:
+            cap = entry.get(alpha) if isinstance(entry, dict) else entry
+            if cap is None:
+                continue
+            key = _fmt(alpha)
+            value = observed.get(key)
+            if value is None:
+                breaches.append(f"{claim} alpha={key}: no successful row to hold to cap {cap}")
+            elif not value <= cap:
+                breaches.append(f"{claim} alpha={key}: ratio {value:.6g} exceeds cap {cap}")
     return breaches
 
 
@@ -586,17 +599,19 @@ def cmd_check_identities(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    caps = _load_caps(cfg.cap_file)
     rows = compute_rows(cfg)
     _write_rows(cfg.out, rows)
     errored = sum(1 for r in rows if r.error)
     print(f"{len(rows)} rows ({errored} errored) -> {cfg.out}")
-    breaches = _check_caps(cfg, summarize(cfg, rows))
+    breaches = _check_caps(cfg, caps, summarize(cfg, rows))
     for line in breaches:
         print(f"cap exceeded: {line}", file=sys.stderr)
     return 1 if breaches else 0
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
+    caps = _load_caps(cfg.cap_file)
     rows = compute_rows(cfg)
     _write_rows(cfg.out, rows)
     summary = summarize(cfg, rows)
@@ -607,7 +622,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     errored = sum(1 for r in rows if r.error)
     print(f"{len(rows)} rows ({errored} errored) -> {cfg.out}")
     print(f"summary -> {summary_path}")
-    breaches = _check_caps(cfg, summary)
+    breaches = _check_caps(cfg, caps, summary)
     for line in breaches:
         print(f"cap exceeded: {line}", file=sys.stderr)
     return 1 if breaches else 0

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -44,9 +44,8 @@ __all__ = [
     "eq23_report",
     "theorem1_report",
     "theorem2_report",
+    "theorem_reports",
 ]
-
-OmegaFn = Callable[[str, int], float]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -138,6 +137,8 @@ class FunctionFamily:
             raise ValueError(
                 f"{self.kind} takes {arity[self.kind]} parameter(s), got {self.params}"
             )
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"{self.kind} seed must be >= 0, got {self.seed}")
 
     @property
     def label(self) -> str:
@@ -333,71 +334,85 @@ def eq23_report(ctx: GroupContext, alpha: float, n: int) -> RatioReport:
 # approximation-rate reports
 
 
-def _default_omega(f: SampledFunction2D, p: float) -> OmegaFn:
-    def omega(kind: str, level: int) -> float:
-        return modulus(f, kind, level, p).value
-
-    return omega
-
-
 def _modulus_rhs(
-    ctx: GroupContext, k: int, alpha: float, scale: float, omega: OmegaFn
+    ctx: GroupContext,
+    k: int,
+    alpha: float,
+    scale: float,
+    omega: Mapping[tuple[str, int], float],
 ) -> float:
     rate = ctx.M[k] ** alpha * scale
-    rhs = rate * (omega("omega1", k - 1) + omega("omega2", k - 1))
+    rhs = rate * (omega["omega1", k - 1] + omega["omega2", k - 1])
     for r in range(k - 1):
-        rhs += ctx.M[r] / ctx.M[k] * (omega("omega1", r) + omega("omega2", r))
+        rhs += ctx.M[r] / ctx.M[k] * (omega["omega1", r] + omega["omega2", r])
     return rhs
 
 
-def theorem1_report(
+def theorem_reports(
     f: SampledFunction2D,
-    alpha: float,
-    k: int,
-    p: float,
-    omega_fn: OmegaFn | None = None,
-) -> RatioReport:
+    alphas: Sequence[float],
+    ps: Sequence[float],
+    levels: Sequence[int] = (),
+    orders: Sequence[int] = (),
+) -> list[RatioReport]:
+    """Theorem 1 reports at each level k and theorem 2 reports at each order n.
+
+    One pass over f: its spectrum once, each Cesaro mean once per (alpha,
+    order) whatever p, and each modulus once per (kind, level, p).  Reports
+    are ordered by alpha, then theorem 1 levels and theorem 2 orders as
+    given, then p.
+    """
+    ctx = f.ctx
+    cases = []
+    for k in levels:
+        k = int(k)
+        if not 1 <= k <= ctx.level:
+            raise ResolutionExceededError(f"level {k} outside 1..{ctx.level}")
+        cases.append(("theorem1", k, None, ctx.M[k], 1.0))
+    for n in orders:
+        n = int(n)
+        if n < 2:
+            raise ValueError(f"order must be >= 2, got {n}")
+        if n >= ctx.size:
+            raise ResolutionExceededError(f"order {n} not below M_N = {ctx.size}")
+        k = index_expand(ctx, n).order
+        if k is None or k < 1:
+            raise ValueError(
+                f"order {n} sits below M_1 = {ctx.M[1]}; no modulus level is defined"
+            )
+        cases.append(("theorem2", k, n, n, log_factor(n)))
+    alphas = [float(a) for a in alphas]
+    ps = [float(p) for p in ps]
+
+    spectrum = fvt_forward_2d(f)
+    lhs = {}
+    for alpha in alphas:
+        for order in dict.fromkeys(case[3] for case in cases):
+            error = cesaro_mean(spectrum, order, alpha) - f
+            for p in ps:
+                lhs[alpha, order, p] = lp_norm(error, p)
+    top = max((case[1] for case in cases), default=0)
+    omega = {p: {(kind, r): modulus(f, kind, r, p).value
+                 for kind in ("omega1", "omega2") for r in range(top)} for p in ps}
+
+    reports = []
+    for alpha in alphas:
+        for claim, k, n, order, scale in cases:
+            for p in ps:
+                left = lhs[alpha, order, p]
+                rhs = _modulus_rhs(ctx, k, alpha, scale, omega[p])
+                reports.append(RatioReport(
+                    claim=claim, alpha=alpha, p=p, k=k, n=n, lhs=left, rhs=rhs,
+                    ratio=_ratio(left, rhs),
+                ))
+    return reports
+
+
+def theorem1_report(f: SampledFunction2D, alpha: float, k: int, p: float) -> RatioReport:
     """Approximation rate of sigma at order M_k against its modulus bound."""
-    ctx = f.ctx
-    k = int(k)
-    if not 1 <= k <= ctx.level:
-        raise ResolutionExceededError(f"level {k} outside 1..{ctx.level}")
-    alpha = float(alpha)
-    sigma = cesaro_mean(fvt_forward_2d(f), ctx.M[k], alpha)
-    lhs = lp_norm(sigma - f, p)
-    omega = omega_fn if omega_fn is not None else _default_omega(f, p)
-    rhs = _modulus_rhs(ctx, k, alpha, 1.0, omega)
-    return RatioReport(
-        claim="theorem1", alpha=alpha, p=float(p), k=k, lhs=lhs, rhs=rhs,
-        ratio=_ratio(lhs, rhs),
-    )
+    return theorem_reports(f, [alpha], [p], levels=[k])[0]
 
 
-def theorem2_report(
-    f: SampledFunction2D,
-    alpha: float,
-    n: int,
-    p: float,
-    omega_fn: OmegaFn | None = None,
-) -> RatioReport:
+def theorem2_report(f: SampledFunction2D, alpha: float, n: int, p: float) -> RatioReport:
     """Approximation rate of sigma at a general order n in [M_k, M_{k+1})."""
-    ctx = f.ctx
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"order must be >= 2, got {n}")
-    if n >= ctx.size:
-        raise ResolutionExceededError(f"order {n} not below M_N = {ctx.size}")
-    k = index_expand(ctx, n).order
-    if k is None or k < 1:
-        raise ValueError(
-            f"order {n} sits below M_1 = {ctx.M[1]}; no modulus level is defined"
-        )
-    alpha = float(alpha)
-    sigma = cesaro_mean(fvt_forward_2d(f), n, alpha)
-    lhs = lp_norm(sigma - f, p)
-    omega = omega_fn if omega_fn is not None else _default_omega(f, p)
-    rhs = _modulus_rhs(ctx, k, alpha, log_factor(n), omega)
-    return RatioReport(
-        claim="theorem2", alpha=alpha, p=float(p), k=k, n=n, lhs=lhs, rhs=rhs,
-        ratio=_ratio(lhs, rhs),
-    )
+    return theorem_reports(f, [alpha], [p], orders=[n])[0]

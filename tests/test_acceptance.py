@@ -45,8 +45,7 @@ from vilenkin.verify import (
     FunctionFamily,
     lemma4_values,
     lemma5_report,
-    theorem1_report,
-    theorem2_report,
+    theorem_reports,
 )
 
 TRANSFORM_GROUPS = [(2,) * 6, (3,) * 5, (2, 3, 2, 3, 2, 3)]
@@ -298,26 +297,16 @@ def test_criterion_09_approximation_rate_sweep():
                 constant = (
                     family.kind == "character" and family.params == (0, 0)
                 ) or (family.kind == "cylinder" and family.params == (0,))
-                for p in P_GRID:
-                    memo = {}
-
-                    def omega(kind, level, f=f, p=p, memo=memo):
-                        key = (kind, level)
-                        if key not in memo:
-                            memo[key] = modulus(f, kind, level, p).value
-                        return memo[key]
-
-                    for alpha in ALPHAS_THREE:
-                        for k in range(1, k_max + 1):
-                            rep = theorem1_report(f, alpha, k, p, omega_fn=omega)
-                            assert rep.ratio <= caps["theorem1"][alpha]
-                            if constant:
-                                assert rep.lhs == 0.0
-                        for n in orders:
-                            rep = theorem2_report(f, alpha, n, p, omega_fn=omega)
-                            assert rep.ratio <= caps["theorem2"][alpha]
-                            if constant:
-                                assert rep.lhs == 0.0
+                reports = theorem_reports(
+                    f, ALPHAS_THREE, P_GRID, levels=range(1, k_max + 1), orders=orders
+                )
+                assert len(reports) == len(ALPHAS_THREE) * len(P_GRID) * (
+                    k_max + len(orders)
+                )
+                for rep in reports:
+                    assert rep.ratio <= caps[rep.claim][rep.alpha]
+                    if constant:
+                        assert rep.lhs == 0.0
 
 
 def test_criterion_10_sweep_determinism(tmp_path):

@@ -46,6 +46,29 @@ class TestConfig:
         with pytest.raises(ConfigError, match="'p'"):
             load_config(None, {"p": "0.5"})
 
+    @pytest.mark.parametrize("token", ("nan", "-inf"))
+    def test_non_finite_p_rejected(self, token, tmp_path):
+        with pytest.raises(ConfigError, match="'p'"):
+            load_config(None, {"p": token})
+        assert main(["verify", "--m", "2,3", "--claims", "theorem1",
+                     f"--p={token}", "--out", str(tmp_path / "r.csv")]) == 2
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_negative_family_seed_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="families"):
+            load_config(None, {"families": "random_cell(-1)"})
+        assert main(["verify", "--m", "2,3", "--claims", "theorem1",
+                     "--families", "random_cell(-1)",
+                     "--out", str(tmp_path / "r.csv")]) == 2
+
+    @pytest.mark.parametrize("level", ("true", "2.5"))
+    def test_non_integer_level_rejected(self, tmp_path, level):
+        doc = tmp_path / "cfg.json"
+        doc.write_text(f'{{"m": [2, 3, 2], "level": {level}}}', encoding="utf-8")
+        with pytest.raises(ConfigError, match="level"):
+            load_config(str(doc), {})
+        assert main(["check-identities", "--config", str(doc)]) == 2
+
     def test_level_truncates(self):
         cfg = load_config(None, {"m": "2,3,2,3", "level": 2})
         assert cfg.context().m == (2, 3)
@@ -121,8 +144,9 @@ class TestVerify:
     def test_resolution_error_becomes_row(self, tmp_path):
         out = tmp_path / "r.csv"
         code = main([
-            "verify", "--m", "2,3", "--alpha", "0.5", "--p", "2",
-            "--claims", "theorem1", "--families", "character(1,1),character(50,0)",
+            "verify", "--m", "2,3", "--alpha", "0.1,0.5", "--p", "2,inf",
+            "--claims", "theorem1,theorem2",
+            "--families", "character(1,1),character(50,0)",
             "--out", str(out),
         ])
         assert code == 0
@@ -131,6 +155,16 @@ class TestVerify:
         clean = [r for r in rows if not r["error"]]
         assert errored and clean
         assert all(r["ratio"] == "" for r in errored)
+        assert {r["family"] for r in errored} == {"character(50,0)"}
+        assert {r["error"] for r in errored} == {"index 50 >= M_N = 6"}
+        # one error row per (claim, alpha, p, order): k for theorem1, n for theorem2
+        cases = [("theorem1", "1", "")] + [("theorem2", "", n) for n in ("2", "4", "5")]
+        expected = sorted(
+            (claim, f"{alpha:.17g}", p, k, n)
+            for claim, k, n in cases for alpha in (0.1, 0.5) for p in ("2", "inf")
+        )
+        got = sorted((r["claim"], r["alpha"], r["p"], r["k"], r["n"]) for r in errored)
+        assert got == expected
 
     def test_constant_family_zero_rows(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -192,6 +226,63 @@ class TestSweep:
                             "--cap-file", str(loose)]) == 0
         assert main(base + ["--out", str(tmp_path / "t.csv"),
                             "--cap-file", str(tight)]) == 1
+
+    def test_cap_key_matches_alpha_by_value(self, tmp_path):
+        # the summary key for 0.1 is "0.10000000000000001"; "0.1" must still apply
+        caps = tmp_path / "caps.json"
+        caps.write_text(json.dumps({"lemma5": {"0.1": 0.0}}), encoding="utf-8")
+        code = main([
+            "sweep", "--m", "2,3,2", "--alpha", "0.1", "--p", "2",
+            "--claims", "lemma5", "--out", str(tmp_path / "s.csv"),
+            "--cap-file", str(caps),
+        ])
+        assert code == 1
+
+    def test_capped_claim_without_successful_rows_breaches(self, tmp_path, capsys):
+        caps = tmp_path / "caps.json"
+        caps.write_text(json.dumps({"theorem1": 1e6}), encoding="utf-8")
+        code = main([
+            "verify", "--m", "40,40", "--alpha", "0.5", "--p", "2",
+            "--claims", "theorem1", "--families", "character(0,0)",
+            "--out", str(tmp_path / "r.csv"), "--cap-file", str(caps),
+        ])
+        rows = read_rows(tmp_path / "r.csv")
+        assert rows and all(r["error"] for r in rows)
+        assert code == 1
+        assert "theorem1" in capsys.readouterr().err
+
+    def test_nan_ratio_breaches_cap(self, tmp_path):
+        # at p = 1e6 the Lp norms overflow to inf and the p = 1e6 row's ratio is
+        # inf/inf = nan; the max over the claim must not drop it
+        caps = tmp_path / "caps.json"
+        caps.write_text(json.dumps({"theorem1": 1.0}), encoding="utf-8")
+        out = tmp_path / "s.csv"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main([
+                "sweep", "--m", "2,3", "--alpha", "0.5", "--p", "2,1e6",
+                "--claims", "theorem1", "--families", "random_cell(7)",
+                "--out", str(out), "--cap-file", str(caps),
+            ])
+        assert "nan" in {r["ratio"] for r in read_rows(out)}
+        assert code == 1
+
+    @pytest.mark.parametrize("doc", (
+        "[1, 2]",
+        '{"lemma5": "abc"}',
+        '{"lemma5": {"0.5": "abc"}}',
+        '{"lemma5": {"half": 1.0}}',
+        '{"lemma5": true}',
+        '{"theorem3": 1.0}',
+    ))
+    def test_malformed_cap_file_exits_2(self, tmp_path, doc):
+        caps = tmp_path / "caps.json"
+        caps.write_text(doc, encoding="utf-8")
+        code = main([
+            "sweep", "--m", "2,3,2", "--alpha", "0.5", "--p", "2",
+            "--claims", "lemma5", "--out", str(tmp_path / "s.csv"),
+            "--cap-file", str(caps),
+        ])
+        assert code == 2
 
     def test_single_tuple_summary_equals_row(self, tmp_path):
         out = tmp_path / "one.csv"

@@ -16,6 +16,7 @@ from vilenkin import (
     tail_decompose,
     theorem1_report,
     theorem2_report,
+    theorem_reports,
 )
 from vilenkin.verify import (
     FunctionFamily,
@@ -286,6 +287,41 @@ class TestTheorem2:
         expected += sum(M[r] / M[k] * w1(r) for r in range(k - 1))
         expected += sum(M[s] / M[k] * w2(s) for s in range(k - 1))
         assert report.rhs == pytest.approx(expected, rel=1e-12)
+
+
+class TestTheoremReports:
+    def test_matches_single_reports_bit_for_bit(self, ctx2323):
+        f = random_grid_2d(ctx2323, 91)
+        alphas, ps = (0.1, 0.5, 0.9), (1.0, 2.0, math.inf)
+        levels, orders = (1, 2, 3), (6, 9, 11, 12, 24, 35)
+        reports = theorem_reports(f, alphas, ps, levels=levels, orders=orders)
+        expected = [
+            theorem1_report(f, alpha, k, p) for alpha in alphas for k in levels for p in ps
+        ] + [
+            theorem2_report(f, alpha, n, p) for alpha in alphas for n in orders for p in ps
+        ]
+        assert len(reports) == len(expected) == 3 * 3 * (3 + 6)
+        key = lambda r: (r.claim, r.alpha, r.k, r.n, r.p)
+        assert sorted(reports, key=key) == sorted(expected, key=key)
+
+    def test_bad_level_or_order_raises_like_single_reports(self, ctx2323):
+        f = random_grid_2d(ctx2323, 92)
+        with pytest.raises(ResolutionExceededError):
+            theorem_reports(f, [0.5], [2.0], levels=[1, 0])
+        with pytest.raises(ResolutionExceededError):
+            theorem_reports(f, [0.5], [2.0], levels=[ctx2323.level + 1])
+        with pytest.raises(ValueError):
+            theorem_reports(f, [0.5], [2.0], levels=[1], orders=[1])
+        with pytest.raises(ResolutionExceededError):
+            theorem_reports(f, [0.5], [2.0], orders=[ctx2323.size])
+        below_first_scale = random_grid_2d(GroupContext((3, 3, 3)), 2)
+        with pytest.raises(ValueError):
+            theorem_reports(below_first_scale, [0.5], [2.0], orders=[2])
+
+    def test_empty_grid_gives_no_reports(self, ctx2323):
+        f = random_grid_2d(ctx2323, 93)
+        assert theorem_reports(f, [0.5], [2.0]) == []
+        assert theorem_reports(f, [], [2.0], levels=[1], orders=[6]) == []
 
 
 class TestFunctionFamilies:
