@@ -8,7 +8,16 @@ average; the literal S_{j,j} sum is kept in the test layer as an oracle.
 
 Moduli of continuity are exact: a shift inside I_n permutes level-N cells,
 and sampled functions are constant on cells, so the supremum over I_n is the
-maximum over the M_N/M_n cells of I_n, enumerated as the multiples of M_n.
+maximum over the M_N/M_n cells of I_n, the multiples of M_n.  One
+``translate_ids`` call builds the permutations of all of them.  The
+single-shift kinds take the norm of each shifted difference in turn.  The
+double-shift kinds (``omega12``, ``total``) loop over row shifts only and
+gather the column shifts in blocks of bounded size.  At p = 2 they enumerate no shift: by
+Plancherel,
+
+    ||tau_(u,v) f - f||_2^2 = sum_k |f_hat(k)|^2 |psi_k1(u) psi_k2(v) - 1|^2,
+
+so one inverse transform of the power spectrum gives every shift's norm.
 """
 
 from __future__ import annotations
@@ -19,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResolutionExceededError
-from .group import GroupContext, translate_ids
+from .group import GroupContext, _negate_ids, translate_ids
 from .kernels import cesaro_numbers
-from .transform import SampledFunction2D, SpectralGrid2D, fvt_inverse_2d
+from .transform import SampledFunction2D, SpectralGrid2D, fvt_forward_2d, fvt_inverse_2d
 
 __all__ = [
     "CesaroWeights",
@@ -37,11 +46,44 @@ __all__ = [
 MODULUS_KINDS = ("omega1", "omega2", "omega12", "total")
 
 
-def _lp_raw(values: np.ndarray, p: float) -> float:
-    if math.isinf(p):
-        return float(np.max(np.abs(values)))
+# Smallest normal float: a mean of |v|^p below it has lost significant bits.
+_TINY = float(np.finfo(float).tiny)
+_EPS = float(np.finfo(float).eps)
+
+
+def _lp_raw(values: np.ndarray, p: float, axis=None):
+    """Lp mean of |values|, over every entry or along ``axis``."""
     mags = np.abs(values)
-    return float(np.mean(mags**p) ** (1.0 / p))
+    if math.isinf(p):
+        out = np.max(mags, axis=axis)
+    else:
+        with np.errstate(over="ignore"):
+            power_mean = np.mean(mags**p, axis=axis)
+        out = power_mean ** (1.0 / p)
+        lo = hi = power_mean
+        if axis is not None:
+            lo, hi = power_mean.min(), power_mean.max()
+        if not _TINY <= lo <= hi < math.inf:
+            out = _lp_rescaled(mags, p, axis, power_mean, out)
+    return float(out) if axis is None else out
+
+
+def _lp_rescaled(mags: np.ndarray, p: float, axis, power_mean, out):
+    """Redo the entries of ``out`` whose mean of mags**p is not a normal float.
+
+    A large finite p can overflow mags**p, or underflow it to a subnormal or
+    0, which leaves the p-th root with few or no correct bits.  Only those
+    entries are recomputed scaled by their maximum, so every entry whose
+    mean is a normal float keeps the bits of the plain expression.
+    """
+    peak = np.max(mags, axis=axis, keepdims=True)
+    inexact = ~((power_mean >= _TINY) & (power_mean < math.inf))
+    redo = inexact & (np.squeeze(peak, axis) > 0.0)
+    if not redo.any():
+        return out
+    safe = np.where(peak > 0.0, peak, 1.0)
+    rescaled = np.mean((mags / safe) ** p, axis=axis) ** (1.0 / p) * np.squeeze(safe, axis)
+    return np.where(redo, rescaled, out)
 
 
 def lp_norm(f: SampledFunction2D, p: float) -> float:
@@ -122,39 +164,84 @@ class ModulusReport:
 
 def _axis_modulus(f: SampledFunction2D, level: int, p: float, axis: int) -> float:
     best = 0.0
-    for u in shift_representatives(f.ctx, level):
-        perm = translate_ids(f.ctx, int(u))
+    for perm in translate_ids(f.ctx, shift_representatives(f.ctx, level)):
         shifted = f.values[perm, :] if axis == 0 else f.values[:, perm]
         best = max(best, _lp_raw(shifted - f.values, p))
     return best
 
 
-def _shift_perms(ctx: GroupContext, level: int) -> list[np.ndarray]:
-    return [translate_ids(ctx, int(u)) for u in shift_representatives(ctx, level)]
+def _plancherel_modulus(f: SampledFunction2D, kind: str, level: int, level2: int) -> float:
+    """p = 2 double-shift modulus from one inverse transform of |f_hat|^2.
 
-
-def _mixed_modulus(f: SampledFunction2D, level: int, level2: int, p: float) -> float:
+    With G the synthesis of the power spectrum P and S = sum P,
+    ||tau_(u,v) f - f||^2 = 2S - 2 Re G(u, v) and the squared mixed double
+    difference is 4S - 4 Re G(u, 0) - 4 Re G(0, v) + 2 Re G(u, v) + 2 Re G(u, -v).
+    Coefficients invariant under the shifts contribute exactly 0 and are
+    dropped first.  What is left of a constant is the transform's rounding,
+    whose l2 size stays below 2 * sum(m) * eps of ||f||_2 (each radix-m
+    butterfly pass rounds a sum of m terms, N passes per variable); power
+    under that bound is read as exact 0, so constants and the top level
+    return 0.0 for every radix.
+    """
     ctx = f.ctx
-    vals = f.values
-    best = 0.0
-    col_perms = _shift_perms(ctx, level2)
-    for pu in _shift_perms(ctx, level):
-        row_shift = vals[pu, :]
-        for pv in col_perms:
-            diff = vals[np.ix_(pu, pv)] - row_shift - vals[:, pv] + vals
-            best = max(best, _lp_raw(diff, p))
-    return best
+    coeffs = fvt_forward_2d(f).values
+    # dividing by a power of two near the peak keeps |coeffs|^2 finite, exactly
+    scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(coeffs))))[1])
+    power = np.abs(coeffs / scale) ** 2
+    full = power.sum()
+    low1 = np.arange(ctx.size) < ctx.M[level]
+    low2 = np.arange(ctx.size) < ctx.M[level2]
+    if kind == "total":
+        power[np.outer(low1, low2)] = 0.0
+    else:
+        power[low1, :] = 0.0
+        power[:, low2] = 0.0
+    total = power.sum()
+    if total <= (2 * sum(ctx.m) * _EPS) ** 2 * full:
+        return 0.0
+    gram = fvt_inverse_2d(SpectralGrid2D(ctx, power)).values.real
+    rows = shift_representatives(ctx, level)
+    cols = shift_representatives(ctx, level2)
+    if kind == "total":
+        sq = 2.0 * total - 2.0 * gram[np.ix_(rows, cols)]
+    else:
+        sq = (
+            4.0 * total
+            - 4.0 * gram[rows, 0][:, None]
+            - 4.0 * gram[0, cols][None, :]
+            + 2.0 * gram[np.ix_(rows, cols)]
+            + 2.0 * gram[np.ix_(rows, _negate_ids(ctx, cols))]
+        )
+    return math.sqrt(max(float(sq.max()), 0.0)) * scale
 
 
-def _total_modulus(f: SampledFunction2D, level: int, p: float) -> float:
+# Complex entries per gathered block of column shifts (one shift per block
+# once a single grid is larger).
+_BLOCK_ENTRIES = 2**14
+
+
+def _double_shift_modulus(
+    f: SampledFunction2D, kind: str, level: int, level2: int, p: float
+) -> float:
+    """Max over (u, v) of the Lp norm of the double difference, blocked in v.
+
+    Works on transposed grids so that a column shift is a row gather: for
+    ``total`` the difference is f(x+u, y+v) - f(x, y); for ``omega12`` it is
+    g(x, y+v) - g(x, y) with the row difference g = f(x+u, y) - f(x, y).
+    """
     ctx = f.ctx
-    vals = f.values
+    vals_t = np.ascontiguousarray(f.values.T)
+    col_perms = translate_ids(ctx, shift_representatives(ctx, level2))
+    block = max(1, _BLOCK_ENTRIES // ctx.size**2)
     best = 0.0
-    perms = _shift_perms(ctx, level)
-    for pu in perms:
-        for pv in perms:
-            diff = vals[np.ix_(pu, pv)] - vals
-            best = max(best, _lp_raw(diff, p))
+    for pu in translate_ids(ctx, shift_representatives(ctx, level)):
+        shifted_t = vals_t[:, pu]
+        base_t = shifted_t - vals_t if kind == "omega12" else shifted_t
+        ref_t = base_t if kind == "omega12" else vals_t
+        for start in range(0, len(col_perms), block):
+            diff = base_t[col_perms[start : start + block]]
+            diff -= ref_t
+            best = max(best, float(np.max(_lp_raw(diff, p, axis=(1, 2)))))
     return best
 
 
@@ -193,8 +280,10 @@ def modulus(
         value = _axis_modulus(f, level, p, axis=0)
     elif kind == "omega2":
         value = _axis_modulus(f, level, p, axis=1)
-    elif kind == "omega12":
-        value = _mixed_modulus(f, level, second, p)
     else:
-        value = _total_modulus(f, level, p)
+        col_level = level if second is None else second
+        if p == 2.0:
+            value = _plancherel_modulus(f, kind, level, col_level)
+        else:
+            value = _double_shift_modulus(f, kind, level, col_level, p)
     return ModulusReport(kind, level, second, p, value)

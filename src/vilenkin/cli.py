@@ -232,6 +232,14 @@ def load_config(config_path: str | None, overrides: dict) -> RunConfig:
     if "cap_file" in overrides and overrides["cap_file"] is not None:
         cfg.cap_file = str(overrides["cap_file"])
     cfg.validate()
+    # a repeated value would only repeat its rows; keep the first occurrence
+    cfg.alpha = tuple(dict.fromkeys(cfg.alpha))
+    cfg.p = tuple(dict.fromkeys(cfg.p))
+    if cfg.families is not None:
+        first: dict[str, str] = {}
+        for spec in cfg.families:
+            first.setdefault(parse_family(spec).label, spec)
+        cfg.families = tuple(first.values())
     return cfg
 
 

@@ -147,6 +147,13 @@ def negate(ctx: GroupContext, x: GroupElement) -> GroupElement:
     return GroupElement(tuple((mk - a) % mk for a, mk in zip(x.digits, ctx.m)))
 
 
+def _negate_ids(ctx: GroupContext, ids: np.ndarray) -> np.ndarray:
+    """Cell ids of the group inverses of the cells ``ids``, as :func:`negate` does."""
+    digits = digit_table(ctx)[:, _checked_ids(ctx, ids)]
+    mvec = np.array(ctx.m, dtype=np.int64)[:, None]
+    return np.array(ctx.M[:-1], dtype=np.int64) @ ((mvec - digits) % mvec)
+
+
 def sub(ctx: GroupContext, x: GroupElement, y: GroupElement) -> GroupElement:
     return add(ctx, x, negate(ctx, y))
 
@@ -227,15 +234,28 @@ def digit_table(ctx: GroupContext) -> np.ndarray:
     return table
 
 
-def translate_ids(ctx: GroupContext, shift: GroupElement | int) -> np.ndarray:
-    """Permutation of cell ids induced by adding ``shift`` to every cell."""
+def _checked_ids(ctx: GroupContext, ids) -> np.ndarray:
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= ctx.size):
+        raise ResolutionExceededError(f"cell ids must lie in 0..{ctx.size - 1}")
+    return ids
+
+
+def translate_ids(ctx: GroupContext, shift: GroupElement | int | np.ndarray) -> np.ndarray:
+    """Permutation of cell ids induced by adding ``shift`` to every cell.
+
+    ``shift`` is an element, a cell id or an array of cell ids; an array
+    gives one permutation row per shift.
+    """
+    table = digit_table(ctx)
     if isinstance(shift, GroupElement):
         _check_element(ctx, shift)
-        sdig = shift.digits
+        sdig = np.array(shift.digits, dtype=np.int64)
+    elif np.ndim(shift) == 0:
+        sdig = np.array(index_expand(ctx, int(shift)).digits, dtype=np.int64)
     else:
-        sdig = index_expand(ctx, int(shift)).digits
-    table = digit_table(ctx)
-    mvec = np.array(ctx.m, dtype=np.int64)[:, None]
-    shifted = (table + np.array(sdig, dtype=np.int64)[:, None]) % mvec
-    weights = np.array(ctx.M[:-1], dtype=np.int64)
-    return weights @ shifted
+        sdig = table[:, _checked_ids(ctx, shift)]
+    perms = np.zeros(sdig.shape[1:] + (ctx.size,), dtype=np.int64)
+    for digits, s, mk, Mk in zip(table, sdig, ctx.m, ctx.M):
+        perms += (s[..., None] + digits) % mk * Mk
+    return perms

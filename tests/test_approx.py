@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -51,6 +52,21 @@ class TestLpNorm:
         f = random_grid_2d(ctx232, seed)
         norms = [lp_norm(f, p) for p in (1.0, 1.5, 2.0, 4.0, math.inf)]
         assert all(a <= b + 1e-12 for a, b in zip(norms, norms[1:]))
+
+    @pytest.mark.parametrize("p", [1440.0, 1e6])
+    @pytest.mark.parametrize("peak", [0.6, 1.5])
+    def test_large_p_matches_decimal(self, ctx23, peak, p):
+        # mean(|v|^p) is subnormal for (0.6, 1440), 0 for (0.6, 1e6), a normal
+        # float for (1.5, 1440) and inf for (1.5, 1e6)
+        vals = np.random.default_rng(5).random((6, 6))
+        vals[2, 3] = 1.0
+        vals *= peak
+        with localcontext() as dec:
+            dec.prec = 40
+            mean = sum(Decimal(float(v)) ** Decimal(p) for v in vals.ravel()) / 36
+            exact = float(mean ** (1 / Decimal(p)))
+        f = SampledFunction2D(ctx23, vals.astype(complex))
+        assert lp_norm(f, p) == pytest.approx(exact, rel=1e-12)
 
 
 class TestCesaroWeights:
@@ -144,12 +160,26 @@ class TestCesaroMean:
 
 
 class TestModulus:
-    def test_constant_function(self, ctx232):
-        f = SampledFunction2D(ctx232, np.ones((12, 12)))
+    def test_constant_function(self):
+        # radix 5 has inexact roots of unity, so its transform of a constant
+        # leaves rounding noise off the (0, 0) coefficient
+        for ctx in (GroupContext((2, 3, 2)), GroupContext((2, 5))):
+            for c in (1.0, -3.7 + 2j):
+                f = SampledFunction2D(ctx, np.full((ctx.size, ctx.size), c))
+                for kind in MODULUS_KINDS:
+                    for level in range(ctx.level + 1):
+                        for p in P_GRID:
+                            assert modulus(f, kind, level, p).value == 0.0
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_scale_covariant_at_extreme_magnitudes(self, ctx232, scale):
+        # |v|^p overflows or underflows at these scales for every finite p > 1
+        f = random_grid_2d(ctx232, 11)
+        g = SampledFunction2D(ctx232, f.values * scale)
         for kind in MODULUS_KINDS:
-            for level in range(ctx232.level + 1):
-                for p in P_GRID:
-                    assert modulus(f, kind, level, p).value == 0.0
+            for p in P_GRID + (3.0,):
+                want = modulus(f, kind, 1, p).value * scale
+                assert modulus(g, kind, 1, p).value == pytest.approx(want, rel=1e-12)
 
     def test_indicator_example(self, ctx23):
         f = indicator_cell_function(ctx23)
@@ -182,23 +212,24 @@ class TestModulus:
                 ]
                 assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
-    @pytest.mark.parametrize("m", [(2, 3, 2), (2, 3, 2, 3)])
+    @pytest.mark.parametrize("m", [(2, 3, 2), (2, 3, 2, 3), (2, 2, 2, 2), (3, 3, 2)])
     def test_matches_brute_force(self, m):
         ctx = GroupContext(m)
         f = random_grid_2d(ctx, 9)
         for kind in MODULUS_KINDS:
             for level in range(ctx.level + 1):
-                for p in P_GRID:
+                for p in P_GRID + (1.5, 3.0):
                     fast = modulus(f, kind, level, p).value
                     slow = brute_modulus(ctx, f.values, kind, level, p)
                     assert abs(fast - slow) <= 1e-12
 
     def test_mixed_levels_differ(self, ctx232):
         f = random_grid_2d(ctx232, 10)
-        report = modulus(f, "omega12", 1, 2.0, level2=2)
-        assert report.level == 1 and report.level2 == 2
-        slow = brute_modulus(ctx232, f.values, "omega12", 1, 2.0, level2=2)
-        assert abs(report.value - slow) <= 1e-12
+        for p in P_GRID:
+            report = modulus(f, "omega12", 1, p, level2=2)
+            assert report.level == 1 and report.level2 == 2
+            slow = brute_modulus(ctx232, f.values, "omega12", 1, p, level2=2)
+            assert abs(report.value - slow) <= 1e-12
 
     def test_validation(self, ctx232):
         f = random_grid_2d(ctx232, 0)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from vilenkin import verify
 from vilenkin.cli import (
     ConfigError,
     RunConfig,
@@ -166,6 +167,32 @@ class TestVerify:
         got = sorted((r["claim"], r["alpha"], r["p"], r["k"], r["n"]) for r in errored)
         assert got == expected
 
+    def test_large_finite_p_is_finite(self, tmp_path):
+        out = tmp_path / "r.csv"
+        code = main([
+            "verify", "--m", "2,3", "--alpha", "0.5", "--p", "2,1e6",
+            "--claims", "theorem1", "--families", "random_cell(7)",
+            "--out", str(out),
+        ])
+        assert code == 0
+        rows = [r for r in read_rows(out) if float(r["p"]) == 1e6]
+        assert rows
+        for row in rows:
+            values = [float(row[key]) for key in ("lhs", "rhs", "ratio")]
+            assert all(math.isfinite(v) and v > 0.0 for v in values), row
+
+    def test_duplicate_config_entries_dropped(self, tmp_path):
+        out = tmp_path / "r.csv"
+        code = main([
+            "verify", "--m", "2,3", "--alpha", "0.5,0.5", "--p", "2,2.0",
+            "--claims", "theorem1", "--families", "character(1,1),character(1, 1)",
+            "--out", str(out),
+        ])
+        assert code == 0
+        rows = read_rows(out)
+        assert len(rows) == 1
+        assert rows[0]["family"] == "character(1,1)"
+
     def test_constant_family_zero_rows(self, tmp_path):
         out = tmp_path / "r.csv"
         main([
@@ -251,18 +278,21 @@ class TestSweep:
         assert code == 1
         assert "theorem1" in capsys.readouterr().err
 
-    def test_nan_ratio_breaches_cap(self, tmp_path):
-        # at p = 1e6 the Lp norms overflow to inf and the p = 1e6 row's ratio is
-        # inf/inf = nan; the max over the claim must not drop it
+    def test_nan_ratio_breaches_cap(self, tmp_path, monkeypatch):
+        # a NaN lhs on the p = 1e6 rows gives NaN ratios after finite p = 2
+        # ratios; the max over the claim must not drop them
+        exact = verify.lp_norm
+        monkeypatch.setattr(
+            verify, "lp_norm", lambda f, p: math.nan if p == 1e6 else exact(f, p)
+        )
         caps = tmp_path / "caps.json"
         caps.write_text(json.dumps({"theorem1": 1.0}), encoding="utf-8")
         out = tmp_path / "s.csv"
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            code = main([
-                "sweep", "--m", "2,3", "--alpha", "0.5", "--p", "2,1e6",
-                "--claims", "theorem1", "--families", "random_cell(7)",
-                "--out", str(out), "--cap-file", str(caps),
-            ])
+        code = main([
+            "sweep", "--m", "2,3", "--alpha", "0.5", "--p", "2,1e6",
+            "--claims", "theorem1", "--families", "random_cell(7)",
+            "--out", str(out), "--cap-file", str(caps),
+        ])
         assert "nan" in {r["ratio"] for r in read_rows(out)}
         assert code == 1
 

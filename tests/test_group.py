@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,7 @@ from vilenkin import (
     norm_map,
     sub,
 )
-from vilenkin.group import digit_table, translate_ids
+from vilenkin.group import _negate_ids, digit_table, translate_ids
 
 
 class TestContext:
@@ -218,6 +219,22 @@ class TestCells:
             shift = cells[u]
             expected = [cell_id(ctx232, add(ctx232, x, shift)) for x in cells]
             assert perm.tolist() == expected
+
+    def test_translate_rows_per_shift(self, ctx232):
+        shifts = np.array([0, 1, 5, 11])
+        rows = translate_ids(ctx232, shifts)
+        assert rows.shape == (4, ctx232.size)
+        for row, u in zip(rows, shifts):
+            assert row.tolist() == translate_ids(ctx232, int(u)).tolist()
+
+    def test_translate_rejects_out_of_range_ids(self, ctx232):
+        with pytest.raises(ResolutionExceededError):
+            translate_ids(ctx232, np.array([0, ctx232.size]))
+
+    def test_negate_ids_matches_negate(self, ctx232):
+        cells = cell_enumerate(ctx232)
+        expected = [cell_id(ctx232, negate(ctx232, x)) for x in cells]
+        assert _negate_ids(ctx232, np.arange(ctx232.size)).tolist() == expected
 
 
 small_groups = st.lists(st.integers(min_value=2, max_value=4), min_size=1, max_size=4)
