@@ -14,8 +14,8 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
-from functools import lru_cache
+from dataclasses import dataclass, fields, replace
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -60,8 +60,7 @@ ASYMPTOTIC_TOLERANCE = 1e-2
 RECURRENCE_LENGTH = 10_000
 LEMMA4_SPAN = 30
 
-CSV_COLUMNS = ("claim", "family", "seed", "alpha", "p", "k", "n",
-               "lhs", "rhs", "ratio", "error")
+CSV_COLUMNS = tuple(f.name for f in fields(RatioReport))
 
 
 class ConfigError(ValueError):
@@ -122,43 +121,28 @@ class RunConfig:
 
 def _parse_m(value) -> tuple[int, ...]:
     if isinstance(value, str):
-        parts = [p.strip() for p in value.split(",") if p.strip()]
-        if not parts:
-            raise ConfigError("field 'm': empty generator sequence")
-        try:
-            return tuple(int(p) for p in parts)
-        except ValueError as exc:
-            raise ConfigError(f"field 'm': {exc}") from exc
-    try:
-        gens = tuple(int(v) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field 'm': {exc}") from exc
+        return GroupContext.from_string(value).m
+    gens = tuple(int(v) for v in value)
     if not gens:
-        raise ConfigError("field 'm': empty generator sequence")
+        raise ValueError("empty generator sequence")
     return gens
 
 
-def _parse_int(value, field_name: str) -> int:
+def _parse_int(value) -> int:
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"field {field_name!r}: expected an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field {field_name!r}: {exc}") from exc
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
-def _parse_floats(value, field_name: str) -> tuple[float, ...]:
+def _parse_floats(value) -> tuple[float, ...]:
     if isinstance(value, str):
         value = [tok.strip() for tok in value.split(",") if tok.strip()]
     out = []
     for tok in value:
-        if isinstance(tok, str) and tok.lower() in ("inf", "infinity"):
-            out.append(math.inf)
-            continue
         try:
-            out.append(float(tok))
+            out.append(float(tok))  # also reads "inf" and "infinity"
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"field {field_name!r}: bad value {tok!r}") from exc
+            raise ValueError(f"bad value {tok!r}") from exc
     return tuple(out)
 
 
@@ -181,17 +165,35 @@ def _split_outside_parens(text: str) -> list[str]:
     return [p.strip() for p in parts if p.strip()]
 
 
-def _parse_strings(value, field_name: str) -> tuple[str, ...]:
+def _parse_strings(value) -> tuple[str, ...]:
     if isinstance(value, str):
         return tuple(_split_outside_parens(value))
     try:
         return tuple(str(tok) for tok in value)
     except TypeError as exc:
-        raise ConfigError(f"field {field_name!r}: expected a list") from exc
+        raise ValueError("expected a list") from exc
+
+
+# one parser per RunConfig field
+_PARSERS: dict[str, Callable] = {
+    "m": _parse_m,
+    "level": _parse_int,
+    "alpha": _parse_floats,
+    "p": _parse_floats,
+    "claims": _parse_strings,
+    "families": _parse_strings,
+    "out": str,
+    "jobs": _parse_int,
+    "cap_file": str,
+}
 
 
 def load_config(config_path: str | None, overrides: dict) -> RunConfig:
-    cfg = RunConfig()
+    """A validated RunConfig: defaults, then the JSON document, then the flags.
+
+    A value of None (a flag not given, or a JSON null) keeps what is below it.
+    """
+    doc: dict = {}
     if config_path is not None:
         try:
             text = Path(config_path).read_text(encoding="utf-8")
@@ -205,32 +207,18 @@ def load_config(config_path: str | None, overrides: dict) -> RunConfig:
             ) from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"config {config_path}: expected a JSON object")
-        known = {f.name for f in fields(RunConfig)}
         for key in doc:
-            if key not in known:
+            if key not in _PARSERS:
                 raise ConfigError(f"config {config_path}: unknown field {key!r}")
-        overrides = {**doc, **{k: v for k, v in overrides.items() if v is not None}}
-    else:
-        overrides = {k: v for k, v in overrides.items() if v is not None}
-
-    if "m" in overrides:
-        cfg.m = _parse_m(overrides["m"])
-    if "level" in overrides and overrides["level"] is not None:
-        cfg.level = _parse_int(overrides["level"], "level")
-    if "alpha" in overrides:
-        cfg.alpha = _parse_floats(overrides["alpha"], "alpha")
-    if "p" in overrides:
-        cfg.p = _parse_floats(overrides["p"], "p")
-    if "claims" in overrides:
-        cfg.claims = _parse_strings(overrides["claims"], "claims")
-    if "families" in overrides:
-        cfg.families = _parse_strings(overrides["families"], "families")
-    if "out" in overrides:
-        cfg.out = str(overrides["out"])
-    if "jobs" in overrides:
-        cfg.jobs = _parse_int(overrides["jobs"], "jobs")
-    if "cap_file" in overrides and overrides["cap_file"] is not None:
-        cfg.cap_file = str(overrides["cap_file"])
+    given = {**doc, **{k: v for k, v in overrides.items() if v is not None}}
+    cfg = RunConfig()
+    for name, value in given.items():
+        if value is None:
+            continue
+        try:
+            setattr(cfg, name, _PARSERS[name](value))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"field {name!r}: {exc}") from exc
     cfg.validate()
     # a repeated value would only repeat its rows; keep the first occurrence
     cfg.alpha = tuple(dict.fromkeys(cfg.alpha))
@@ -254,55 +242,21 @@ def _fmt(value) -> str:
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    value = float(value)
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return f"{value:.17g}"
+    return f"{float(value):.17g}"
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    claim: str
-    family: str = ""
-    seed: int | None = None
-    alpha: float | None = None
-    p: float | None = None
-    k: int | None = None
-    n: int | None = None
-    lhs: float | None = None
-    rhs: float | None = None
-    ratio: float | None = None
-    error: str = ""
-
-    @classmethod
-    def from_report(cls, report: RatioReport) -> "ReportRow":
-        return cls(
-            claim=report.claim, family=report.family, seed=report.seed,
-            alpha=report.alpha, p=report.p, k=report.k, n=report.n,
-            lhs=report.lhs, rhs=report.rhs, ratio=report.ratio,
-        )
-
-    def sort_key(self):
-        return (
-            self.claim,
-            self.family,
-            -1 if self.seed is None else self.seed,
-            -1.0 if self.alpha is None else self.alpha,
-            -1.0 if self.p is None else self.p,
-            -1 if self.k is None else self.k,
-            -1 if self.n is None else self.n,
-        )
-
-    def csv_values(self) -> list[str]:
-        return [_fmt(getattr(self, col)) for col in CSV_COLUMNS]
+def _sort_key(row: RatioReport) -> tuple:
+    """The columns claim to n, with an empty one sorting first."""
+    return tuple(-1 if v is None else v
+                 for v in (row.claim, row.family, row.seed, row.alpha, row.p, row.k, row.n))
 
 
-def _write_rows(path: str, rows: Sequence[ReportRow]) -> None:
+def _write_rows(path: str, rows: Sequence[RatioReport]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for row in rows:
-            writer.writerow(row.csv_values())
+            writer.writerow([_fmt(getattr(row, col)) for col in CSV_COLUMNS])
 
 
 # ---------------------------------------------------------------------------
@@ -380,81 +334,78 @@ def lemma1_coefficient_sets(ctx: GroupContext) -> list[tuple[str, int | None, np
     return sets
 
 
-def _claim_tasks(cfg: RunConfig, ctx: GroupContext) -> list[Callable[[], list[ReportRow]]]:
-    tasks: list[Callable[[], list[ReportRow]]] = []
-    family_labels = cfg.families if cfg.families is not None else default_families(ctx)
-    families = [parse_family(label) for label in family_labels]
+def _theorem_rows(cfg: RunConfig, ctx: GroupContext, family: FunctionFamily,
+                  levels: Sequence[int], orders: Sequence[int]) -> list[RatioReport]:
+    """Theorem 1 and 2 rows of one family; an error row per case if it fails."""
+    try:
+        reports = theorem_reports(_built_function(ctx, family), cfg.alpha, cfg.p,
+                                  levels, orders)
+    except ResolutionExceededError as exc:
+        cases = [("theorem1", k, None) for k in levels]
+        cases += [("theorem2", None, n) for n in orders]
+        return [
+            RatioReport(claim=claim, family=family.label, seed=family.seed,
+                        alpha=alpha, p=p, k=k, n=n, error=str(exc))
+            for claim, k, n in cases for alpha in cfg.alpha for p in cfg.p
+        ]
+    return [replace(r, family=family.label, seed=family.seed) for r in reports]
 
+
+def _lemma1_rows(ctx: GroupContext) -> list[RatioReport]:
+    return [
+        replace(report, family=label, seed=seed)
+        for label, seed, coeffs in lemma1_coefficient_sets(ctx)
+        for report in lemma1_report(ctx, coeffs)
+    ]
+
+
+def _claim_tasks(cfg: RunConfig, ctx: GroupContext) -> list[Callable[[], object]]:
+    """One task per theorem family, one for lemma1, one per lemma (alpha, k or n)."""
+    tasks: list[Callable[[], object]] = []
     levels = range(1, ctx.level) if "theorem1" in cfg.claims else ()
     orders = theorem2_orders(ctx) if "theorem2" in cfg.claims else ()
-    for family in families if levels or orders else ():
-        def theorem_task(family=family) -> list[ReportRow]:
-            try:
-                fun = _built_function(ctx, family)
-                reports = theorem_reports(fun, cfg.alpha, cfg.p, levels, orders)
-            except ResolutionExceededError as exc:
-                cases = [("theorem1", k, None) for k in levels]
-                cases += [("theorem2", None, n) for n in orders]
-                return [
-                    ReportRow(claim=claim, family=family.label, seed=family.seed,
-                              alpha=alpha, p=p, k=k, n=n, error=str(exc))
-                    for claim, k, n in cases for alpha in cfg.alpha for p in cfg.p
-                ]
-            return [ReportRow.from_report(report.with_family(family.label, family.seed))
-                    for report in reports]
-
-        tasks.append(theorem_task)
+    if levels or orders:
+        labels = cfg.families if cfg.families is not None else default_families(ctx)
+        tasks += [partial(_theorem_rows, cfg, ctx, parse_family(label), levels, orders)
+                  for label in labels]
     if "lemma1" in cfg.claims:
-        def lemma1_task() -> list[ReportRow]:
-            rows = []
-            for label, seed, coeffs in lemma1_coefficient_sets(ctx):
-                two_d, one_d = lemma1_report(ctx, coeffs)
-                rows.append(ReportRow.from_report(two_d.with_family(label, seed)))
-                rows.append(ReportRow.from_report(one_d.with_family(label, seed)))
-            return rows
-
-        tasks.append(lemma1_task)
-    if "lemma4" in cfg.claims:
-        for alpha in cfg.alpha:
-            for k in range(ctx.level):
-                def lemma4_task(alpha=alpha, k=k) -> list[ReportRow]:
-                    p_range = range(ctx.M[k], ctx.M[k] + LEMMA4_SPAN + 1)
-                    return [ReportRow.from_report(lemma4_report(ctx, alpha, k, p_range))]
-
-                tasks.append(lemma4_task)
-    if "lemma5" in cfg.claims:
-        for alpha in cfg.alpha:
-            for n in lemma5_orders(ctx):
-                def lemma5_task(alpha=alpha, n=n) -> list[ReportRow]:
-                    report, _ = lemma5_report(ctx, alpha, n)
-                    return [ReportRow.from_report(report)]
-
-                tasks.append(lemma5_task)
-    if "eq23" in cfg.claims:
-        for alpha in cfg.alpha:
-            for n in eq23_orders(ctx):
-                def eq23_task(alpha=alpha, n=n) -> list[ReportRow]:
-                    return [ReportRow.from_report(eq23_report(ctx, alpha, n))]
-
-                tasks.append(eq23_task)
+        tasks.append(partial(_lemma1_rows, ctx))
+    for alpha in cfg.alpha:
+        if "lemma4" in cfg.claims:
+            tasks += [partial(lemma4_report, ctx, alpha, k,
+                              range(ctx.M[k], ctx.M[k] + LEMMA4_SPAN + 1))
+                      for k in range(ctx.level)]
+        if "lemma5" in cfg.claims:
+            tasks += [partial(lemma5_report, ctx, alpha, n) for n in lemma5_orders(ctx)]
+        if "eq23" in cfg.claims:
+            tasks += [partial(eq23_report, ctx, alpha, n) for n in eq23_orders(ctx)]
     return tasks
 
 
-def compute_rows(cfg: RunConfig) -> list[ReportRow]:
+def _reports(result) -> list[RatioReport]:
+    """The reports in a task's result: one report, or a list or tuple holding some.
+
+    lemma5_report returns its report with the tail decomposition of n.
+    """
+    items = result if isinstance(result, (list, tuple)) else (result,)
+    return [item for item in items if isinstance(item, RatioReport)]
+
+
+def compute_rows(cfg: RunConfig) -> list[RatioReport]:
     """All report rows for a configuration, canonically sorted."""
     ctx = cfg.context()
     tasks = _claim_tasks(cfg, ctx)
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            chunks = list(pool.map(lambda task: task(), tasks))
+            chunks = list(pool.map(lambda task: _reports(task()), tasks))
     else:
-        chunks = [task() for task in tasks]
+        chunks = [_reports(task()) for task in tasks]
     rows = [row for chunk in chunks for row in chunk]
-    rows.sort(key=ReportRow.sort_key)
+    rows.sort(key=_sort_key)
     return rows
 
 
-def summarize(cfg: RunConfig, rows: Sequence[ReportRow]) -> dict:
+def summarize(cfg: RunConfig, rows: Sequence[RatioReport]) -> dict:
     """Per-claim, per-alpha max ratios; alpha-free claims repeat their max."""
     summary: dict = {}
     claims = set(cfg.claims)
@@ -477,9 +428,21 @@ def summarize(cfg: RunConfig, rows: Sequence[ReportRow]) -> dict:
     return summary
 
 
-def _summary_path(out: str) -> str:
-    path = Path(out)
-    return str(path.with_suffix(".summary.json"))
+def _write_summary(out: str, summary: dict) -> str:
+    """Write the summary beside the CSV as strict JSON; return its path.
+
+    A non-finite max is written as the CSV writes it, "nan" or "inf".
+    """
+    strict = {
+        claim: {a: v if math.isfinite(v) else _fmt(v) for a, v in entry.items()}
+        if isinstance(entry, dict) else entry
+        for claim, entry in summary.items()
+    }
+    path = str(Path(out).with_suffix(".summary.json"))
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(strict, handle, indent=2, sort_keys=True, allow_nan=False)
+        handle.write("\n")
+    return path
 
 
 def _cap_number(value) -> float:
@@ -606,34 +569,24 @@ def cmd_check_identities(cfg: RunConfig) -> int:
     return 0 if failures == 0 else 1
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: RunConfig, write_summary: bool = False) -> int:
+    """Write the report rows, and with ``write_summary`` their summary; gate caps."""
     caps = _load_caps(cfg.cap_file)
     rows = compute_rows(cfg)
     _write_rows(cfg.out, rows)
     errored = sum(1 for r in rows if r.error)
     print(f"{len(rows)} rows ({errored} errored) -> {cfg.out}")
-    breaches = _check_caps(cfg, caps, summarize(cfg, rows))
+    summary = summarize(cfg, rows)
+    if write_summary:
+        print(f"summary -> {_write_summary(cfg.out, summary)}")
+    breaches = _check_caps(cfg, caps, summary)
     for line in breaches:
         print(f"cap exceeded: {line}", file=sys.stderr)
     return 1 if breaches else 0
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    caps = _load_caps(cfg.cap_file)
-    rows = compute_rows(cfg)
-    _write_rows(cfg.out, rows)
-    summary = summarize(cfg, rows)
-    summary_path = _summary_path(cfg.out)
-    with open(summary_path, "w", encoding="utf-8") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    errored = sum(1 for r in rows if r.error)
-    print(f"{len(rows)} rows ({errored} errored) -> {cfg.out}")
-    print(f"summary -> {summary_path}")
-    breaches = _check_caps(cfg, caps, summary)
-    for line in breaches:
-        print(f"cap exceeded: {line}", file=sys.stderr)
-    return 1 if breaches else 0
+    return cmd_verify(cfg, write_summary=True)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -655,34 +608,27 @@ def main(argv: Sequence[str] | None = None) -> int:
         description="Numerical checks for harmonic analysis on bounded Vilenkin groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, default_out, blurb in (
-        ("check-identities", "vilenkin-identities.csv",
+    for name, run, default_out, blurb in (
+        ("check-identities", cmd_check_identities, "vilenkin-identities.csv",
          "run the exact-identity residual suite"),
-        ("verify", "vilenkin-report.csv",
+        ("verify", cmd_verify, "vilenkin-report.csv",
          "write ratio-report rows for the selected claims"),
-        ("sweep", "vilenkin-sweep.csv",
+        ("sweep", cmd_sweep, "vilenkin-sweep.csv",
          "full cartesian sweep plus a per-claim max-ratio summary"),
     ):
         cmd = sub.add_parser(name, help=blurb, description=blurb)
         _add_common_flags(cmd)
-        cmd.set_defaults(default_out=default_out)
+        cmd.set_defaults(run=run, default_out=default_out)
 
     args = parser.parse_args(argv)
-    overrides = {
-        "m": args.m, "level": args.level, "alpha": args.alpha, "p": args.p,
-        "claims": args.claims, "families": args.families, "out": args.out,
-        "jobs": args.jobs, "cap_file": args.cap_file,
-    }
+    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
     try:
         cfg = load_config(args.config, overrides)
         if args.out is None and args.config is None:
             cfg.out = args.default_out
-        if args.command == "check-identities":
-            return cmd_check_identities(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        return cmd_sweep(cfg)
-    except ConfigError as exc:
+        return args.run(cfg)
+    except (ConfigError, ResolutionExceededError) as exc:
+        # a ResolutionExceededError here is one that no task turned into rows
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -44,6 +44,10 @@ __all__ = [
 
 MAX_TABLE_LENGTH = 10**6
 
+# The 1D resolution cap; it also bounds the dense (M_N, M_N) kernel tables,
+# 256 MiB of complex entries each at the cap.
+MAX_CELLS_1D = 4096
+
 _SQRT3_HALF = math.sqrt(3.0) / 2.0
 
 
@@ -114,13 +118,17 @@ def psi_values(ctx: GroupContext, n: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=8)
 def character_table(ctx: GroupContext) -> np.ndarray:
     """(M_N, M_N) matrix with entry [n, j] = psi_n(cell j).
 
     Built as the Kronecker product of the per-coordinate root tables, which
-    matches the mixed-radix linearization of both indices.
+    matches the mixed-radix linearization of both indices.  Raises
+    ResolutionExceededError before allocating when M_N exceeds MAX_CELLS_1D.
     """
+    if ctx.size > MAX_CELLS_1D:
+        raise ResolutionExceededError(
+            f"M_N = {ctx.size} exceeds the resolution cap {MAX_CELLS_1D}"
+        )
     table = np.ones((1, 1), dtype=np.complex128)
     for mk in ctx.m:
         roots = unit_roots(mk)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ResolutionExceededError
 from .group import GroupContext
-from .kernels import unit_roots
+from .kernels import MAX_CELLS_1D, unit_roots
 
 __all__ = [
     "MAX_CELLS_1D",
@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 # Desk-scale resolution caps: grids stay well under ~10^6 complex entries.
-MAX_CELLS_1D = 4096
+# MAX_CELLS_1D is defined with the dense kernel tables it also bounds.
 MAX_CELLS_2D = 1024
 
 

@@ -13,7 +13,7 @@ and eq23 for the pointwise kernel decay against |u|^(alpha-1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -50,7 +50,11 @@ __all__ = [
 
 @dataclass(frozen=True, kw_only=True)
 class RatioReport:
-    """One verification record: claim, parameter tuple, and lhs/rhs/ratio."""
+    """One verification record: claim, parameter tuple, and lhs/rhs/ratio.
+
+    The fields, in order, are the CLI's CSV columns.  A record that could not
+    be computed has no lhs, rhs or ratio and says why in ``error``.
+    """
 
     claim: str
     family: str = ""
@@ -59,12 +63,10 @@ class RatioReport:
     p: float | None = None
     k: int | None = None
     n: int | None = None
-    lhs: float
-    rhs: float
-    ratio: float
-
-    def with_family(self, family: str, seed: int | None) -> "RatioReport":
-        return replace(self, family=family, seed=seed)
+    lhs: float | None = None
+    rhs: float | None = None
+    ratio: float | None = None
+    error: str = ""
 
 
 def _ratio(lhs: float, rhs: float) -> float:

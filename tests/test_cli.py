@@ -1,11 +1,13 @@
 import csv
 import json
 import math
+import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from vilenkin import verify
+from vilenkin import cli, verify
 from vilenkin.cli import (
     ConfigError,
     RunConfig,
@@ -14,6 +16,10 @@ from vilenkin.cli import (
 )
 
 DATA = Path(__file__).parent / "data"
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
 
 
 def read_rows(path):
@@ -81,10 +87,50 @@ class TestConfig:
         assert cfg.m == (2, 3, 2)
         assert cfg.claims == ("theorem1", "lemma5")
 
-    def test_flags_override_document(self):
+    def test_flags_override_document(self, tmp_path, monkeypatch):
         cfg = load_config(str(DATA / "config_small.json"), {"alpha": "0.25"})
         assert cfg.alpha == (0.25,)
         assert cfg.m == (2, 3, 2)
+
+        # every field, once from a document and once from a flag over it
+        doc = {
+            "m": [2, 3, 2], "level": 2, "alpha": [0.25], "p": [1, "inf"],
+            "claims": ["lemma4"], "families": ["random_cell(3)"], "out": "doc.csv",
+            "jobs": 2, "cap_file": "doc-caps.json",
+        }
+        from_doc = RunConfig(
+            m=(2, 3, 2), level=2, alpha=(0.25,), p=(1.0, math.inf), claims=("lemma4",),
+            families=("random_cell(3)",), out="doc.csv", jobs=2, cap_file="doc-caps.json",
+        )
+        flags = [
+            "--m", "3,3", "--level", "1", "--alpha", "0.75", "--p", "2",
+            "--claims", "eq23", "--families", "character(1,1)", "--out", "flag.csv",
+            "--jobs", "3", "--cap-file", "flag-caps.json",
+        ]
+        from_flags = RunConfig(
+            m=(3, 3), level=1, alpha=(0.75,), p=(2.0,), claims=("eq23",),
+            families=("character(1,1)",), out="flag.csv", jobs=3, cap_file="flag-caps.json",
+        )
+        names = [f.name for f in fields(RunConfig)]
+        assert sorted(doc) == sorted(names)
+        for name in names:
+            values = {getattr(cfg, name) for cfg in (RunConfig(), from_doc, from_flags)}
+            assert len(values) == 3, name  # each source changes every field
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert load_config(str(path), {}) == from_doc
+
+        seen = []
+        monkeypatch.setattr(cli, "cmd_verify", lambda cfg: seen.append(cfg) or 0)
+        assert main(["verify", "--config", str(path)] + flags) == 0
+        assert main(["verify"] + flags) == 0
+        assert seen == [from_flags, from_flags]
+
+    def test_null_fields_keep_defaults(self, tmp_path):
+        doc = tmp_path / "cfg.json"
+        doc.write_text(json.dumps({f.name: None for f in fields(RunConfig)}),
+                       encoding="utf-8")
+        assert load_config(str(doc), {}) == RunConfig()
 
     def test_json_error_reports_position(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -193,6 +239,27 @@ class TestVerify:
         assert len(rows) == 1
         assert rows[0]["family"] == "character(1,1)"
 
+    @pytest.mark.parametrize("command", (
+        ["verify", "--claims", "lemma1"],
+        ["verify", "--claims", "lemma4"],
+        ["verify", "--claims", "eq23"],
+        ["check-identities"],
+    ))
+    def test_oversized_dense_table_exits_2(self, tmp_path, capsys, command):
+        # M_N = 4099 is past the dense-table cap; nothing large is allocated
+        out = tmp_path / "r.csv"
+        tracemalloc.start()
+        try:
+            code = main(command + ["--m", "4099", "--alpha", "0.5", "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error: M_N = 4099 exceeds the resolution cap 4096" in err
+        assert not out.exists()
+        assert peak < 16 << 20
+
     def test_constant_family_zero_rows(self, tmp_path):
         out = tmp_path / "r.csv"
         main([
@@ -295,6 +362,33 @@ class TestSweep:
         ])
         assert "nan" in {r["ratio"] for r in read_rows(out)}
         assert code == 1
+        summary = json.loads((tmp_path / "s.summary.json").read_text(),
+                             parse_constant=_reject_constant)
+        assert summary["theorem1"][f"{0.5:.17g}"] == "nan"
+
+    def test_infinite_ratio_written_as_string(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(verify, "_modulus_rhs", lambda *args: 0.0)
+        out = tmp_path / "s.csv"
+        code = main([
+            "sweep", "--m", "2,3", "--alpha", "0.5", "--p", "2",
+            "--claims", "theorem1", "--families", "random_cell(7)", "--out", str(out),
+        ])
+        assert code == 0
+        assert {r["ratio"] for r in read_rows(out)} == {"inf"}
+        summary = json.loads((tmp_path / "s.summary.json").read_text(),
+                             parse_constant=_reject_constant)
+        assert summary["theorem1"][f"{0.5:.17g}"] == "inf"
+
+    def test_verify_and_sweep_write_same_csv(self, tmp_path):
+        args = ["--config", str(DATA / "config_small.json"),
+                "--claims", ",".join(cli.CLAIMS)]
+        assert main(["verify", *args, "--out", str(tmp_path / "v.csv")]) == 0
+        assert main(["sweep", *args, "--out", str(tmp_path / "s.csv")]) == 0
+        assert (tmp_path / "v.csv").read_bytes() == (tmp_path / "s.csv").read_bytes()
+        claims = {r["claim"] for r in read_rows(tmp_path / "v.csv")}
+        assert claims == set(cli.CLAIMS) | {"lemma0"}
+        assert not (tmp_path / "v.summary.json").exists()
+        assert (tmp_path / "s.summary.json").exists()
 
     @pytest.mark.parametrize("doc", (
         "[1, 2]",

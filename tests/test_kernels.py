@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,20 @@ class TestDirichlet:
 
     def test_empty_sum_row(self, ctx232):
         assert np.all(dirichlet_table(ctx232)[0] == 0.0)
+
+    def test_dense_tables_capped_before_allocating(self):
+        # at M_N = 4099 each table would take about 270 MB; the check comes first
+        ctx = GroupContext((4099,))
+        tracemalloc.start()
+        try:
+            for table in (character_table, dirichlet_table):
+                with pytest.raises(ResolutionExceededError,
+                                   match="M_N = 4099 exceeds the resolution cap 4096"):
+                    table(ctx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestUnitRoots:
