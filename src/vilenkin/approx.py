@@ -10,10 +10,11 @@ Moduli of continuity are exact: a shift inside I_n permutes level-N cells,
 and sampled functions are constant on cells, so the supremum over I_n is the
 maximum over the M_N/M_n cells of I_n, the multiples of M_n.  One
 ``translate_ids`` call builds the permutations of all of them.  The
-single-shift kinds take the norm of each shifted difference in turn.  The
-double-shift kinds (``omega12``, ``total``) loop over row shifts only and
-gather the column shifts in blocks of bounded size.  At p = 2 they enumerate no shift: by
-Plancherel,
+single-shift kinds form each shifted difference once and reduce it for every
+p; since I_r holds every M_r-th shift of I_0, one level-0 table of these
+norms gives every level.  The double-shift kinds (``omega12``, ``total``)
+loop over row shifts only and gather the column shifts in blocks of bounded
+size.  At p = 2 they enumerate no shift: by Plancherel,
 
     ||tau_(u,v) f - f||_2^2 = sum_k |f_hat(k)|^2 |psi_k1(u) psi_k2(v) - 1|^2,
 
@@ -162,12 +163,15 @@ class ModulusReport:
     value: float
 
 
-def _axis_modulus(f: SampledFunction2D, level: int, p: float, axis: int) -> float:
-    best = 0.0
-    for perm in translate_ids(f.ctx, shift_representatives(f.ctx, level)):
-        shifted = f.values[perm, :] if axis == 0 else f.values[:, perm]
-        best = max(best, _lp_raw(shifted - f.values, p))
-    return best
+def _axis_norms(f: SampledFunction2D, axis: int, level: int, ps) -> np.ndarray:
+    """Lp norms of f(. + u) - f along ``axis``: a row per p, a column per u in I_level."""
+    perms = translate_ids(f.ctx, shift_representatives(f.ctx, level))
+    table = np.empty((len(ps), len(perms)))
+    for j, perm in enumerate(perms):
+        diff = (f.values[perm, :] if axis == 0 else f.values[:, perm]) - f.values
+        for i, p in enumerate(ps):
+            table[i, j] = _lp_raw(diff, p)
+    return table
 
 
 def _plancherel_modulus(f: SampledFunction2D, kind: str, level: int, level2: int) -> float:
@@ -276,10 +280,9 @@ def modulus(
     if not math.isinf(p) and p < 1.0:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
 
-    if kind == "omega1":
-        value = _axis_modulus(f, level, p, axis=0)
-    elif kind == "omega2":
-        value = _axis_modulus(f, level, p, axis=1)
+    if kind in ("omega1", "omega2"):
+        axis = 0 if kind == "omega1" else 1
+        value = float(_axis_norms(f, axis, level, [p]).max())
     else:
         col_level = level if second is None else second
         if p == 2.0:

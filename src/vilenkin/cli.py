@@ -383,12 +383,8 @@ def _claim_tasks(cfg: RunConfig, ctx: GroupContext) -> list[Callable[[], object]
 
 
 def _reports(result) -> list[RatioReport]:
-    """The reports in a task's result: one report, or a list or tuple holding some.
-
-    lemma5_report returns its report with the tail decomposition of n.
-    """
-    items = result if isinstance(result, (list, tuple)) else (result,)
-    return [item for item in items if isinstance(item, RatioReport)]
+    """A task's result, one report or a list of them, as a list."""
+    return result if isinstance(result, list) else [result]
 
 
 def compute_rows(cfg: RunConfig) -> list[RatioReport]:

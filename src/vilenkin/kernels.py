@@ -48,6 +48,12 @@ MAX_TABLE_LENGTH = 10**6
 # 256 MiB of complex entries each at the cap.
 MAX_CELLS_1D = 4096
 
+
+def _check_cap(ctx: GroupContext, cap: int) -> None:
+    if ctx.size > cap:
+        raise ResolutionExceededError(f"M_N = {ctx.size} exceeds the resolution cap {cap}")
+
+
 _SQRT3_HALF = math.sqrt(3.0) / 2.0
 
 
@@ -125,10 +131,7 @@ def character_table(ctx: GroupContext) -> np.ndarray:
     matches the mixed-radix linearization of both indices.  Raises
     ResolutionExceededError before allocating when M_N exceeds MAX_CELLS_1D.
     """
-    if ctx.size > MAX_CELLS_1D:
-        raise ResolutionExceededError(
-            f"M_N = {ctx.size} exceeds the resolution cap {MAX_CELLS_1D}"
-        )
+    _check_cap(ctx, MAX_CELLS_1D)
     table = np.ones((1, 1), dtype=np.complex128)
     for mk in ctx.m:
         roots = unit_roots(mk)

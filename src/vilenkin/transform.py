@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ResolutionExceededError
 from .group import GroupContext
-from .kernels import MAX_CELLS_1D, unit_roots
+from .kernels import MAX_CELLS_1D, _check_cap, unit_roots
 
 __all__ = [
     "MAX_CELLS_1D",
@@ -41,10 +41,7 @@ MAX_CELLS_2D = 1024
 
 
 def _validated(ctx: GroupContext, values, shape: tuple[int, ...], cap: int) -> np.ndarray:
-    if ctx.size > cap:
-        raise ResolutionExceededError(
-            f"M_N = {ctx.size} exceeds the resolution cap {cap}"
-        )
+    _check_cap(ctx, cap)
     arr = np.array(values, dtype=np.complex128, copy=True)
     if arr.shape != shape:
         raise ValueError(f"values have shape {arr.shape}, expected {shape}")

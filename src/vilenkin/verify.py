@@ -14,15 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .approx import cesaro_mean, lp_norm, modulus
+from .approx import _axis_norms, cesaro_mean, lp_norm
 from .errors import ResolutionExceededError
 from .group import GroupContext, digit_table, index_expand
-from .kernels import cesaro_numbers, dirichlet_table, psi_values
+from .kernels import _check_cap, cesaro_numbers, dirichlet_table, psi_values
 from .transform import (
+    MAX_CELLS_2D,
     SampledFunction2D,
     SpectralGrid2D,
     fvt_forward_2d,
@@ -153,6 +154,7 @@ class FunctionFamily:
         return None
 
     def build(self, ctx: GroupContext) -> SampledFunction2D:
+        _check_cap(ctx, MAX_CELLS_2D)
         size = ctx.size
         if self.kind == "character":
             a, b = self.params
@@ -274,13 +276,11 @@ def lemma4_report(
     )
 
 
-def lemma5_report(
-    ctx: GroupContext, alpha: float, n: int
-) -> tuple[RatioReport, TailDecomposition]:
+def lemma5_report(ctx: GroupContext, alpha: float, n: int) -> RatioReport:
     """The kernel integral III at order n against the clamped log n.
 
-    Also returns the tail decomposition of n: the proof strategy bounds III
-    by a constant per tail, so the tail count s is the structural diagnostic.
+    The proof bounds III by a constant per tail of n, so ``tail_decompose``
+    gives the structural diagnostic: the tail count s.
     """
     n = int(n)
     if n < 1:
@@ -290,11 +290,10 @@ def lemma5_report(
     table = cesaro_numbers(-float(alpha) - 1.0, n - 1).values
     quad, _ = _kernel_integrals(ctx, table[n - np.arange(1, n + 1)])
     rhs = log_factor(n)
-    report = RatioReport(
+    return RatioReport(
         claim="lemma5", alpha=float(alpha), n=n, lhs=quad, rhs=rhs,
         ratio=_ratio(quad, rhs),
     )
-    return report, tail_decompose(ctx, n)
 
 
 def _cell_norms(ctx: GroupContext) -> np.ndarray:
@@ -337,16 +336,12 @@ def eq23_report(ctx: GroupContext, alpha: float, n: int) -> RatioReport:
 
 
 def _modulus_rhs(
-    ctx: GroupContext,
-    k: int,
-    alpha: float,
-    scale: float,
-    omega: Mapping[tuple[str, int], float],
+    ctx: GroupContext, k: int, alpha: float, scale: float, omega: Sequence[float]
 ) -> float:
-    rate = ctx.M[k] ** alpha * scale
-    rhs = rate * (omega["omega1", k - 1] + omega["omega2", k - 1])
+    """The bound side from ``omega[r]`` = omega1 + omega2 at level r."""
+    rhs = ctx.M[k] ** alpha * scale * omega[k - 1]
     for r in range(k - 1):
-        rhs += ctx.M[r] / ctx.M[k] * (omega["omega1", r] + omega["omega2", r])
+        rhs += ctx.M[r] / ctx.M[k] * omega[r]
     return rhs
 
 
@@ -360,9 +355,10 @@ def theorem_reports(
     """Theorem 1 reports at each level k and theorem 2 reports at each order n.
 
     One pass over f: its spectrum once, each Cesaro mean once per (alpha,
-    order) whatever p, and each modulus once per (kind, level, p).  Reports
-    are ordered by alpha, then theorem 1 levels and theorem 2 orders as
-    given, then p.
+    order) whatever p, and per modulus kind one table of single-shift norms
+    over every p and every shift of I_0; level r is the max over the columns
+    ``::M_r``.  Reports are ordered by alpha, then theorem 1 levels and
+    theorem 2 orders as given, then p.
     """
     ctx = f.ctx
     cases = []
@@ -385,6 +381,8 @@ def theorem_reports(
         cases.append(("theorem2", k, n, n, log_factor(n)))
     alphas = [float(a) for a in alphas]
     ps = [float(p) for p in ps]
+    if not (cases and alphas and ps):
+        return []
 
     spectrum = fvt_forward_2d(f)
     lhs = {}
@@ -393,9 +391,10 @@ def theorem_reports(
             error = cesaro_mean(spectrum, order, alpha) - f
             for p in ps:
                 lhs[alpha, order, p] = lp_norm(error, p)
-    top = max((case[1] for case in cases), default=0)
-    omega = {p: {(kind, r): modulus(f, kind, r, p).value
-                 for kind in ("omega1", "omega2") for r in range(top)} for p in ps}
+    top = max(case[1] for case in cases)
+    w1, w2 = (_axis_norms(f, axis, 0, ps) for axis in (0, 1))
+    omega = {p: [float(w1[i, ::ctx.M[r]].max()) + float(w2[i, ::ctx.M[r]].max())
+                 for r in range(top)] for i, p in enumerate(ps)}
 
     reports = []
     for alpha in alphas:

@@ -45,6 +45,7 @@ from vilenkin.verify import (
     FunctionFamily,
     lemma4_values,
     lemma5_report,
+    tail_decompose,
     theorem_reports,
 )
 
@@ -233,10 +234,10 @@ def test_criterion_08_log_growth_proxy():
         for alpha in ALPHAS_THREE:
             per_block: dict[int, float] = {}
             for n in range(2, ctx.M[4]):
-                report, tails = lemma5_report(ctx, alpha, n)
+                report = lemma5_report(ctx, alpha, n)
                 assert math.isfinite(report.ratio)
                 assert report.ratio <= LEMMA5_RATIO_CAPS[alpha]
-                assert 1 <= tails.s <= ctx.level
+                assert 1 <= tail_decompose(ctx, n).s <= ctx.level
                 block = max(k for k in range(len(ctx.M)) if ctx.M[k] <= n)
                 per_block[block] = max(per_block.get(block, 0.0), report.ratio)
             steps = [
@@ -247,7 +248,7 @@ def test_criterion_08_log_growth_proxy():
             assert all(step <= 1.5 for step in steps)
             for k in (1, 2, 3):
                 n = ctx.M[k]
-                report, _ = lemma5_report(ctx, alpha, n)
+                report = lemma5_report(ctx, alpha, n)
                 reference = lemma4_values(ctx, alpha, k, [n])[0]
                 assert abs(report.lhs - reference) <= 1e-10
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from vilenkin import (
     lemma1_report,
     lemma4_report,
     lemma5_report,
+    modulus,
     psi_values,
     tail_decompose,
     theorem1_report,
@@ -20,6 +22,7 @@ from vilenkin import (
 )
 from vilenkin.verify import (
     FunctionFamily,
+    _modulus_rhs,
     eq23_profile,
     lemma4_values,
     log_factor,
@@ -153,17 +156,17 @@ class TestLemma4:
 
 class TestLemma5:
     def test_order_one_trivial(self, ctx232):
-        report, tails = lemma5_report(ctx232, 0.5, 1)
+        report = lemma5_report(ctx232, 0.5, 1)
         assert report.lhs == pytest.approx(1.0, abs=1e-14)
         assert report.rhs == 1.0
-        assert tails.s == 1
+        assert tail_decompose(ctx232, 1).s == 1
 
     @pytest.mark.parametrize("alpha", (0.1, 0.5, 0.9))
     @pytest.mark.parametrize("k", (1, 2, 3))
     def test_matches_uniform_bound_at_scale_points(self, ctx2323, alpha, k):
         n = ctx2323.M[k]
-        report, tails = lemma5_report(ctx2323, alpha, n)
-        assert tails.s == 1
+        report = lemma5_report(ctx2323, alpha, n)
+        assert tail_decompose(ctx2323, n).s == 1
         reference = lemma4_values(ctx2323, alpha, k, [n])[0]
         assert abs(report.lhs - reference) <= 1e-10
 
@@ -172,8 +175,8 @@ class TestLemma5:
         coarse = GroupContext((2, 3, 2))
         fine = GroupContext((2, 3, 2, 3))
         for n in (2, 5, 11):
-            lhs_coarse = lemma5_report(coarse, 0.5, n)[0].lhs
-            lhs_fine = lemma5_report(fine, 0.5, n)[0].lhs
+            lhs_coarse = lemma5_report(coarse, 0.5, n).lhs
+            lhs_fine = lemma5_report(fine, 0.5, n).lhs
             assert abs(lhs_coarse - lhs_fine) <= 1e-10
 
     def test_validation(self, ctx232):
@@ -323,6 +326,24 @@ class TestTheoremReports:
         assert theorem_reports(f, [0.5], [2.0]) == []
         assert theorem_reports(f, [], [2.0], levels=[1], orders=[6]) == []
 
+    # random_poly values come out of a synthesis and are not C-contiguous;
+    # cylinder(0) is constant, so every modulus is an exact 0
+    @pytest.mark.parametrize("label", ("random_poly(6,3)", "cylinder(0)", "random_cell(5)"))
+    def test_bound_side_equals_public_moduli_exactly(self, ctx2323, label):
+        f = parse_family(label).build(ctx2323)
+        alphas, ps = (0.1, 0.9), (1.0, 2.0, 3.0, math.inf)
+        reports = theorem_reports(f, alphas, ps, levels=(1, 2, 3), orders=(2, 6, 17, 35))
+        assert len(reports) == 2 * 4 * (3 + 4)
+        omega = {
+            p: [modulus(f, "omega1", r, p).value + modulus(f, "omega2", r, p).value
+                for r in range(ctx2323.level)]
+            for p in ps
+        }
+        for r in reports:
+            scale = 1.0 if r.claim == "theorem1" else log_factor(r.n)
+            assert r.rhs == _modulus_rhs(ctx2323, r.k, r.alpha, scale, omega[r.p])
+        assert theorem_reports(f, alphas, ps) == []
+
 
 class TestFunctionFamilies:
     def test_parse_roundtrip(self):
@@ -381,6 +402,19 @@ class TestFunctionFamilies:
             FunctionFamily("cylinder", (5,)).build(ctx23)
         with pytest.raises(ResolutionExceededError):
             FunctionFamily("random_poly", (9, 1)).build(ctx23)
+
+    def test_build_capped_before_allocating(self):
+        # at M_N = 1600 the Gaussian grids alone would take about 80 MB
+        ctx = GroupContext((40, 40))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResolutionExceededError,
+                               match="M_N = 1600 exceeds the resolution cap 1024"):
+                FunctionFamily("random_cell", (7,)).build(ctx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestResolutionStability:
