@@ -23,7 +23,6 @@ from .group import (
     sub,
 )
 from .kernels import (
-    CesaroNumberTable,
     cesaro_numbers,
     character_table,
     dirichlet,
@@ -45,7 +44,6 @@ from .transform import (
     partial_sum_rect,
 )
 from .approx import (
-    CesaroWeights,
     ModulusReport,
     cesaro_mean,
     cesaro_weights,
@@ -61,8 +59,6 @@ from .verify import (
     lemma4_report,
     lemma5_report,
     tail_decompose,
-    theorem1_report,
-    theorem2_report,
     theorem_reports,
 )
 

@@ -34,7 +34,6 @@ from .kernels import cesaro_numbers
 from .transform import SampledFunction2D, SpectralGrid2D, fvt_forward_2d, fvt_inverse_2d
 
 __all__ = [
-    "CesaroWeights",
     "ModulusReport",
     "MODULUS_KINDS",
     "lp_norm",
@@ -52,9 +51,8 @@ _TINY = float(np.finfo(float).tiny)
 _EPS = float(np.finfo(float).eps)
 
 
-def _lp_raw(values: np.ndarray, p: float, axis=None):
-    """Lp mean of |values|, over every entry or along ``axis``."""
-    mags = np.abs(values)
+def _lp_mags(mags: np.ndarray, p: float, axis=None):
+    """Lp mean of the magnitudes ``mags``, over every entry or along ``axis``."""
     if math.isinf(p):
         out = np.max(mags, axis=axis)
     else:
@@ -87,30 +85,16 @@ def _lp_rescaled(mags: np.ndarray, p: float, axis, power_mean, out):
     return np.where(redo, rescaled, out)
 
 
+def _check_p(p: float) -> float:
+    p = float(p)
+    if not p >= 1.0:
+        raise ValueError(f"p must be >= 1 or inf, got {p}")
+    return p
+
+
 def lp_norm(f: SampledFunction2D, p: float) -> float:
     """Lp norm with the exact cell measure 1/M_N^2; p = inf is the cell maximum."""
-    p = float(p)
-    if not math.isinf(p) and p < 1.0:
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
-    return _lp_raw(f.values, p)
-
-
-@dataclass(frozen=True)
-class CesaroWeights:
-    """Spectral multipliers of the order-n negative Cesaro mean.
-
-    ``w[mx]`` is applied to every coefficient (k1, k2) with max(k1, k2) = mx
-    below n; coefficients at mx >= n are dropped.
-    """
-
-    n: int
-    alpha: float
-    w: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.w, dtype=np.float64)
-        arr.flags.writeable = False
-        object.__setattr__(self, "w", arr)
+    return _lp_mags(np.abs(f.values), _check_p(p))
 
 
 def _check_alpha(alpha: float) -> float:
@@ -120,25 +104,28 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def cesaro_weights(n: int, alpha: float) -> CesaroWeights:
-    """Closed-form multipliers A_{n-1-mx}^{-a} / A_{n-1}^{-a} for mx < n."""
+def cesaro_weights(n: int, alpha: float) -> np.ndarray:
+    """Read-only multipliers A_{n-1-mx}^{-a} / A_{n-1}^{-a}, mx = max(k1, k2) < n.
+
+    Coefficients at mx >= n are dropped.
+    """
     n = int(n)
     if n < 1:
         raise ValueError(f"mean order must be >= 1, got {n}")
     alpha = _check_alpha(alpha)
-    table = cesaro_numbers(-alpha, n - 1).values
-    return CesaroWeights(n, alpha, table[::-1] / table[n - 1])
+    table = cesaro_numbers(-alpha, n - 1)
+    weights = table[::-1] / table[n - 1]
+    weights.flags.writeable = False
+    return weights
 
 
 def cesaro_mean(grid: SpectralGrid2D, n: int, alpha: float) -> SampledFunction2D:
     """The (C,-alpha) mean of the quadratic partial sums, via one synthesis."""
     size = grid.ctx.size
     n = int(n)
-    if n < 1:
-        raise ValueError(f"mean order must be >= 1, got {n}")
     if n > size:
         raise ResolutionExceededError(f"mean order {n} exceeds M_N = {size}")
-    weights = cesaro_weights(n, alpha).w
+    weights = cesaro_weights(n, alpha)
     idx = np.maximum.outer(np.arange(size), np.arange(size))
     multiplier = np.where(idx < n, weights[np.minimum(idx, n - 1)], 0.0)
     return fvt_inverse_2d(SpectralGrid2D(grid.ctx, grid.values * multiplier))
@@ -168,9 +155,9 @@ def _axis_norms(f: SampledFunction2D, axis: int, level: int, ps) -> np.ndarray:
     perms = translate_ids(f.ctx, shift_representatives(f.ctx, level))
     table = np.empty((len(ps), len(perms)))
     for j, perm in enumerate(perms):
-        diff = (f.values[perm, :] if axis == 0 else f.values[:, perm]) - f.values
+        mags = np.abs((f.values[perm, :] if axis == 0 else f.values[:, perm]) - f.values)
         for i, p in enumerate(ps):
-            table[i, j] = _lp_raw(diff, p)
+            table[i, j] = _lp_mags(mags, p)
     return table
 
 
@@ -245,7 +232,7 @@ def _double_shift_modulus(
         for start in range(0, len(col_perms), block):
             diff = base_t[col_perms[start : start + block]]
             diff -= ref_t
-            best = max(best, float(np.max(_lp_raw(diff, p, axis=(1, 2)))))
+            best = max(best, float(np.max(_lp_mags(np.abs(diff), p, axis=(1, 2)))))
     return best
 
 
@@ -276,9 +263,7 @@ def modulus(
         second = level if level2 is None else int(level2)
         if not 0 <= second <= f.ctx.level:
             raise ResolutionExceededError(f"level {second} outside 0..{f.ctx.level}")
-    p = float(p)
-    if not math.isinf(p) and p < 1.0:
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
+    p = _check_p(p)
 
     if kind in ("omega1", "omega2"):
         axis = 0 if kind == "omega1" else 1

@@ -420,7 +420,7 @@ def summarize(cfg: RunConfig, rows: Sequence[RatioReport]) -> dict:
                 nan = any(math.isnan(v) for v in matching)
                 per_alpha[_fmt(alpha)] = math.nan if nan else max(matching)
         summary[claim] = per_alpha
-    summary["system"] = "dyadic" if all(v == 2 for v in cfg.m) else "vilenkin"
+    summary["system"] = "dyadic" if all(v == 2 for v in cfg.context().m) else "vilenkin"
     return summary
 
 

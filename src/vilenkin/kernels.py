@@ -15,7 +15,6 @@ tolerance policy lives in the callers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -24,7 +23,6 @@ from .errors import ResolutionExceededError
 from .group import GroupContext, GroupElement, _check_element, digit_table, index_expand
 
 __all__ = [
-    "CesaroNumberTable",
     "unit_roots",
     "rademacher",
     "psi",
@@ -94,6 +92,15 @@ def unit_roots(m: int) -> np.ndarray:
     return roots
 
 
+@lru_cache(maxsize=None)
+def _root_table(m: int, sign: int) -> np.ndarray:
+    """[j, k] = exp(2*pi*i*sign*j*k/m): a Kronecker factor of the character table."""
+    idx = np.outer(np.arange(m), np.arange(m))
+    table = unit_roots(m)[(sign * idx) % m]
+    table.flags.writeable = False
+    return table
+
+
 def rademacher(ctx: GroupContext, k: int, x: GroupElement) -> complex:
     """Generalized Rademacher value r_k(x) = exp(2*pi*i*x_k/m_k)."""
     if not 0 <= k < ctx.level:
@@ -134,9 +141,7 @@ def character_table(ctx: GroupContext) -> np.ndarray:
     _check_cap(ctx, MAX_CELLS_1D)
     table = np.ones((1, 1), dtype=np.complex128)
     for mk in ctx.m:
-        roots = unit_roots(mk)
-        stage = roots[np.outer(np.arange(mk), np.arange(mk)) % mk]
-        table = np.kron(stage, table)
+        table = np.kron(_root_table(mk, 1), table)
     table.flags.writeable = False
     return table
 
@@ -168,27 +173,12 @@ def dirichlet(ctx: GroupContext, n: int, x: GroupElement) -> complex:
     return complex(sum(psi(ctx, k, x) for k in range(n)))
 
 
-@dataclass(frozen=True)
-class CesaroNumberTable:
-    """Values A_0^beta .. A_L^beta of the generalized binomial numbers."""
+def cesaro_numbers(beta: float, length: int) -> np.ndarray:
+    """Read-only A_n^beta for n = 0..length via the multiplicative recurrence.
 
-    beta: float
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.float64)
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, n: int) -> float:
-        return float(self.values[n])
-
-
-def cesaro_numbers(beta: float, length: int) -> CesaroNumberTable:
-    """Table of A_n^beta for n = 0..length via the multiplicative recurrence."""
+    The recurrence is a sequential ``cumprod``: a shorter table is a bit-exact
+    prefix of a longer one.
+    """
     length = int(length)
     if length < 0:
         raise ValueError(f"table length must be nonnegative, got {length}")
@@ -204,7 +194,8 @@ def cesaro_numbers(beta: float, length: int) -> CesaroNumberTable:
     values = np.ones(length + 1, dtype=np.float64)
     if length:
         np.cumprod((beta + n) / n, out=values[1:])
-    return CesaroNumberTable(beta, values)
+    values.flags.writeable = False
+    return values
 
 
 def compensated_cumsum(values: np.ndarray) -> np.ndarray:
@@ -295,8 +286,8 @@ def eq2_residual(beta: float, length: int) -> float:
     condition number of the cancellation; relative to the data scale it
     measures the accuracy of the tables, which is the contract.
     """
-    direct = cesaro_numbers(beta, length).values
-    summands = cesaro_numbers(beta - 1.0, length).values
+    direct = cesaro_numbers(beta, length)
+    summands = cesaro_numbers(beta - 1.0, length)
     summed = compensated_cumsum(summands)
     scale = np.maximum.accumulate(np.abs(summands))
     denom = np.maximum(np.abs(direct), scale)
@@ -305,8 +296,8 @@ def eq2_residual(beta: float, length: int) -> float:
 
 def eq3_residual(beta: float, length: int) -> float:
     """Max relative residual of A_n^beta - A_{n-1}^beta = A_n^{beta-1}."""
-    upper = cesaro_numbers(beta, length).values
-    lower = cesaro_numbers(beta - 1.0, length).values
+    upper = cesaro_numbers(beta, length)
+    lower = cesaro_numbers(beta - 1.0, length)
     diff = upper[1:] - upper[:-1]
     denom = np.maximum(np.maximum(np.abs(upper[1:]), np.abs(lower[1:])),
                        np.finfo(np.float64).tiny)
@@ -315,5 +306,5 @@ def eq3_residual(beta: float, length: int) -> float:
 
 def eq4_residual(alpha: float, n: int = 10_000) -> float:
     """Gap |A_n^alpha * n^(-alpha) - 1/Gamma(alpha+1)| at a single n."""
-    value = cesaro_numbers(alpha, n)[n]
+    value = float(cesaro_numbers(alpha, n)[n])
     return abs(value * n ** (-alpha) - 1.0 / math.gamma(alpha + 1.0))

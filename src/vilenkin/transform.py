@@ -12,13 +12,12 @@ pass is needed.  Two-dimensional grids are transformed axis by axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ResolutionExceededError
 from .group import GroupContext
-from .kernels import MAX_CELLS_1D, _check_cap, unit_roots
+from .kernels import MAX_CELLS_1D, _check_cap, _root_table
 
 __all__ = [
     "MAX_CELLS_1D",
@@ -119,22 +118,13 @@ class SpectralGrid2D(_GridBase):
         object.__setattr__(self, "values", arr)
 
 
-@lru_cache(maxsize=None)
-def _butterfly(m: int, sign: int) -> np.ndarray:
-    roots = unit_roots(m)
-    idx = np.outer(np.arange(m), np.arange(m))
-    table = roots[(sign * idx) % m]
-    table.flags.writeable = False
-    return table
-
-
 def _decimate(ctx: GroupContext, values: np.ndarray, sign: int) -> np.ndarray:
     """Apply the digit-wise butterfly stages along the last axis."""
     out = np.asarray(values, dtype=np.complex128)
     lead = out.shape[:-1]
     size = ctx.size
     for mt, Mt in zip(ctx.m, ctx.M):
-        stage = _butterfly(mt, sign)
+        stage = _root_table(mt, sign)
         view = out.reshape(*lead, size // (mt * Mt), mt, Mt)
         out = np.einsum("...qjr,jk->...qkr", view, stage).reshape(*lead, size)
     return out

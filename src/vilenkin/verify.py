@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .approx import _axis_norms, cesaro_mean, lp_norm
+from .approx import _axis_norms, _check_p, cesaro_mean, lp_norm
 from .errors import ResolutionExceededError
 from .group import GroupContext, digit_table, index_expand
 from .kernels import _check_cap, cesaro_numbers, dirichlet_table, psi_values
@@ -43,8 +43,6 @@ __all__ = [
     "lemma5_report",
     "eq23_profile",
     "eq23_report",
-    "theorem1_report",
-    "theorem2_report",
     "theorem_reports",
 ]
 
@@ -207,15 +205,33 @@ def parse_family(text: str) -> FunctionFamily:
 # weighted Dirichlet kernel integrals
 
 
+def _dirichlet_rows(ctx: GroupContext, n: int) -> np.ndarray:
+    """D_1..D_n on every cell, one row per kernel."""
+    if n > ctx.size:
+        raise ResolutionExceededError(f"kernel length {n} exceeds M_N = {ctx.size}")
+    return dirichlet_table(ctx)[1 : n + 1]
+
+
+def _kernel_weights(alpha: float, terms: int, p: int) -> np.ndarray:
+    """A_{p-i}^{-alpha-1} for i = 1..terms, the weight of D_i at order p."""
+    return cesaro_numbers(-float(alpha) - 1.0, p - 1)[p - np.arange(1, terms + 1)]
+
+
+def _check_order(ctx: GroupContext, n: int) -> int:
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
+    if n >= ctx.size:
+        raise ResolutionExceededError(f"order {n} not below M_N = {ctx.size}")
+    return n
+
+
 def _kernel_integrals(ctx: GroupContext, coeffs: np.ndarray) -> tuple[float, float]:
     """Exact integrals of |sum_i c_i D_i(u) D_i(v)| and |sum_i c_i D_i(u)|.
 
     ``coeffs[i-1]`` multiplies D_i, i = 1..n.
     """
-    n = len(coeffs)
-    if n > ctx.size:
-        raise ResolutionExceededError(f"kernel length {n} exceeds M_N = {ctx.size}")
-    rows = dirichlet_table(ctx)[1 : n + 1]
+    rows = _dirichlet_rows(ctx, len(coeffs))
     weighted = coeffs[:, None] * rows
     quad = weighted.T @ rows
     line = coeffs @ rows
@@ -256,11 +272,9 @@ def lemma4_values(
     for p in p_list:
         if p < block:
             raise ValueError(f"p = {p} below M_k = {block}")
-    table = cesaro_numbers(-float(alpha) - 1.0, max(p_list) - 1).values
-    i = np.arange(1, block + 1)
     out = np.empty(len(p_list), dtype=np.float64)
     for idx, p in enumerate(p_list):
-        quad, _ = _kernel_integrals(ctx, table[p - i])
+        quad, _ = _kernel_integrals(ctx, _kernel_weights(alpha, block, p))
         out[idx] = quad
     return out
 
@@ -282,13 +296,8 @@ def lemma5_report(ctx: GroupContext, alpha: float, n: int) -> RatioReport:
     The proof bounds III by a constant per tail of n, so ``tail_decompose``
     gives the structural diagnostic: the tail count s.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    if n >= ctx.size:
-        raise ResolutionExceededError(f"order {n} not below M_N = {ctx.size}")
-    table = cesaro_numbers(-float(alpha) - 1.0, n - 1).values
-    quad, _ = _kernel_integrals(ctx, table[n - np.arange(1, n + 1)])
+    n = _check_order(ctx, n)
+    quad, _ = _kernel_integrals(ctx, _kernel_weights(alpha, n, n))
     rhs = log_factor(n)
     return RatioReport(
         claim="lemma5", alpha=float(alpha), n=n, lhs=quad, rhs=rhs,
@@ -308,15 +317,9 @@ def eq23_profile(ctx: GroupContext, alpha: float, n: int) -> np.ndarray:
 
     Entry 0 (the zero cell) is set to 0: the decay bound concerns u != 0.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    if n >= ctx.size:
-        raise ResolutionExceededError(f"order {n} not below M_N = {ctx.size}")
+    n = _check_order(ctx, n)
     alpha = float(alpha)
-    table = cesaro_numbers(-alpha - 1.0, n - 1).values
-    coeffs = table[n - np.arange(1, n + 1)]
-    line = coeffs @ dirichlet_table(ctx)[1 : n + 1]
+    line = _kernel_weights(alpha, n, n) @ _dirichlet_rows(ctx, n)
     profile = np.abs(line) * _cell_norms(ctx) ** (1.0 - alpha)
     profile[0] = 0.0
     return profile
@@ -380,7 +383,7 @@ def theorem_reports(
             )
         cases.append(("theorem2", k, n, n, log_factor(n)))
     alphas = [float(a) for a in alphas]
-    ps = [float(p) for p in ps]
+    ps = [_check_p(p) for p in ps]
     if not (cases and alphas and ps):
         return []
 
@@ -408,12 +411,3 @@ def theorem_reports(
                 ))
     return reports
 
-
-def theorem1_report(f: SampledFunction2D, alpha: float, k: int, p: float) -> RatioReport:
-    """Approximation rate of sigma at order M_k against its modulus bound."""
-    return theorem_reports(f, [alpha], [p], levels=[k])[0]
-
-
-def theorem2_report(f: SampledFunction2D, alpha: float, n: int, p: float) -> RatioReport:
-    """Approximation rate of sigma at a general order n in [M_k, M_{k+1})."""
-    return theorem_reports(f, [alpha], [p], orders=[n])[0]

@@ -133,7 +133,7 @@ def test_criterion_05_cesaro_weight_consistency():
     with criterion(5, "Cesaro weights and spectral mean vs literal oracle", 60.0):
         for alpha in ALPHAS_FIVE:
             for n in range(1, 2049):
-                closed = cesaro_weights(n, alpha).w
+                closed = cesaro_weights(n, alpha)
                 direct = direct_cesaro_weights(n, alpha)
                 assert np.max(np.abs(closed - direct) / np.abs(closed)) <= 1e-12
         ctx = GroupContext((2, 3, 2, 3))

@@ -21,6 +21,7 @@ from vilenkin.approx import MODULUS_KINDS, shift_representatives
 from vilenkin.group import in_interval, cell_enumerate, cell_id, translate_ids
 
 P_GRID = (1.0, 2.0, math.inf)
+BAD_P = (math.nan, -math.inf, 0.5)
 
 
 def indicator_cell_function(ctx):
@@ -47,6 +48,13 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm(f, 0.5)
 
+    @pytest.mark.parametrize("p", BAD_P)
+    def test_rejects_nan_and_p_below_one(self, ctx23, p):
+        f = indicator_cell_function(ctx23)
+        with pytest.raises(ValueError, match="p must be >= 1 or inf"):
+            lp_norm(f, p)
+        assert lp_norm(f, math.inf) == 1.0
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_p_monotone(self, ctx232, seed):
         f = random_grid_2d(ctx232, seed)
@@ -71,7 +79,7 @@ class TestLpNorm:
 
 class TestCesaroWeights:
     def test_example_n4(self):
-        w = cesaro_weights(4, 0.5).w
+        w = cesaro_weights(4, 0.5)
         assert w[0] == 1.0
         assert w[1] == pytest.approx(1.2, abs=1e-14)
 
@@ -82,14 +90,14 @@ class TestCesaroWeights:
     @pytest.mark.parametrize("alpha", (0.1, 0.5, 0.9))
     @pytest.mark.parametrize("n", (1, 2, 7, 64, 257))
     def test_closed_form_matches_direct_sum(self, n, alpha):
-        closed = cesaro_weights(n, alpha).w
+        closed = cesaro_weights(n, alpha)
         direct = direct_cesaro_weights(n, alpha)
         assert np.max(np.abs(closed - direct) / np.abs(closed)) < 1e-12
 
     def test_limit_toward_one(self):
         for mx in range(5):
             n = 100 * (mx + 1)
-            w = cesaro_weights(n, 0.5).w
+            w = cesaro_weights(n, 0.5)
             assert abs(w[mx] - 1.0) <= 0.02
 
     def test_rejects_order_zero(self):
@@ -97,6 +105,11 @@ class TestCesaroWeights:
             cesaro_weights(0, 0.5)
         with pytest.raises(ValueError):
             cesaro_weights(4, 1.0)
+
+    def test_read_only(self):
+        w = cesaro_weights(4, 0.5)
+        with pytest.raises(ValueError):
+            w[0] = 2.0
 
 
 class TestCesaroMean:
@@ -241,6 +254,14 @@ class TestModulus:
             modulus(f, "omega1", 0, 2.0, level2=1)
         with pytest.raises(ValueError):
             modulus(f, "omega1", 0, 0.3)
+
+    @pytest.mark.parametrize("kind", MODULUS_KINDS)
+    @pytest.mark.parametrize("p", BAD_P)
+    def test_rejects_nan_and_p_below_one(self, ctx232, kind, p):
+        f = random_grid_2d(ctx232, 0)
+        with pytest.raises(ValueError, match="p must be >= 1 or inf"):
+            modulus(f, kind, 1, p)
+        assert modulus(f, kind, 1, math.inf).value > 0.0
 
 
 def test_shift_representatives_match_interval_filter(ctx2323):

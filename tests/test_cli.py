@@ -296,6 +296,17 @@ class TestSweep:
         summary = json.loads((tmp_path / "d.summary.json").read_text())
         assert summary["system"] == "dyadic"
 
+    def test_system_names_the_truncated_group(self, tmp_path):
+        # (2, 2, 3) truncated at level 2 is the dyadic group (2, 2)
+        out = tmp_path / "t.csv"
+        code = main([
+            "sweep", "--m", "2,2,3", "--level", "2", "--alpha", "0.5", "--p", "2",
+            "--claims", "theorem1", "--families", "character(1,1)", "--out", str(out),
+        ])
+        assert code == 0
+        summary = json.loads((tmp_path / "t.summary.json").read_text())
+        assert summary["system"] == "dyadic"
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["sweep", "--config", str(DATA / "config_small.json")]
         out_a = tmp_path / "a.csv"

@@ -155,7 +155,7 @@ class TestUnitRoots:
 
 class TestCesaroNumbers:
     def test_exponent_zero_all_ones(self):
-        assert np.all(cesaro_numbers(0.0, 50).values == 1.0)
+        assert np.all(cesaro_numbers(0.0, 50) == 1.0)
 
     def test_frozen_values(self):
         assert cesaro_numbers(-0.5, 3)[3] == pytest.approx(0.3125, abs=1e-15)
@@ -163,9 +163,9 @@ class TestCesaroNumbers:
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_sign_patterns(self, alpha):
-        positive = cesaro_numbers(-alpha, 500).values
+        positive = cesaro_numbers(-alpha, 500)
         assert np.all(positive > 0.0)
-        negative = cesaro_numbers(-alpha - 1.0, 500).values
+        negative = cesaro_numbers(-alpha - 1.0, 500)
         assert negative[0] == 1.0
         assert np.all(negative[1:] < 0.0)
 
@@ -187,6 +187,16 @@ class TestCesaroNumbers:
             cesaro_numbers(0.5, 10**6 + 1)
         with pytest.raises(ValueError):
             cesaro_numbers(0.5, -1)
+
+    def test_read_only(self):
+        table = cesaro_numbers(-0.5, 8)
+        with pytest.raises(ValueError):
+            table[0] = 2.0
+
+    def test_shorter_table_is_exact_prefix(self):
+        full = cesaro_numbers(-1.3, 1000)
+        for length in (0, 1, 31, 999):
+            assert np.array_equal(cesaro_numbers(-1.3, length), full[: length + 1])
 
     def test_compensated_cumsum_matches_fsum(self):
         rng = np.random.default_rng(5)

@@ -16,8 +16,6 @@ from vilenkin import (
     modulus,
     psi_values,
     tail_decompose,
-    theorem1_report,
-    theorem2_report,
     theorem_reports,
 )
 from vilenkin.verify import (
@@ -209,14 +207,14 @@ class TestTheorem1:
     def test_constant_gives_exact_zero(self, ctx2323):
         f = FunctionFamily("character", (0, 0)).build(ctx2323)
         for p in (1.0, 2.0, math.inf):
-            report = theorem1_report(f, 0.5, 2, p)
+            report = theorem_reports(f, [0.5], [p], levels=[2])[0]
             assert report.lhs == 0.0
             assert report.ratio == 0.0
 
     def test_single_character_frozen_value(self, walsh4):
         f = FunctionFamily("character", (1, 1)).build(walsh4)
         for p in (1.0, 2.0, math.inf):
-            report = theorem1_report(f, 0.5, 2, p)
+            report = theorem_reports(f, [0.5], [p], levels=[2])[0]
             # surviving weight is A_2/A_3 at exponent -1/2: 0.375/0.3125 = 1.2
             assert report.lhs == pytest.approx(0.2, abs=1e-12)
             assert math.isfinite(report.ratio) and report.ratio > 0.0
@@ -224,9 +222,9 @@ class TestTheorem1:
     def test_level_validation(self, ctx232):
         f = random_grid_2d(ctx232, 0)
         with pytest.raises(ResolutionExceededError):
-            theorem1_report(f, 0.5, 0, 2.0)
+            theorem_reports(f, [0.5], [2.0], levels=[0])
         with pytest.raises(ResolutionExceededError):
-            theorem1_report(f, 0.5, ctx232.level + 1, 2.0)
+            theorem_reports(f, [0.5], [2.0], levels=[ctx232.level + 1])
 
     @pytest.mark.parametrize("k", (1, 2, 3))
     def test_bound_side_matches_literal_formula(self, ctx2323, k):
@@ -234,7 +232,7 @@ class TestTheorem1:
 
         f = random_grid_2d(ctx2323, 71)
         alpha, p = 0.3, 2.0
-        report = theorem1_report(f, alpha, k, p)
+        report = theorem_reports(f, [alpha], [p], levels=[k])[0]
         M = ctx2323.M
         w1 = lambda r: modulus(f, "omega1", r, p).value
         w2 = lambda r: modulus(f, "omega2", r, p).value
@@ -249,7 +247,7 @@ class TestTheorem1:
 class TestTheorem2:
     def test_constant_gives_exact_zero(self, ctx2323):
         f = FunctionFamily("cylinder", (0,)).build(ctx2323)
-        report = theorem2_report(f, 0.5, 7, 2.0)
+        report = theorem_reports(f, [0.5], [2.0], orders=[7])[0]
         assert report.lhs == 0.0
         assert report.ratio == 0.0
 
@@ -257,8 +255,8 @@ class TestTheorem2:
     def test_dominates_scale_point_rate(self, ctx2323, k):
         f = random_grid_2d(ctx2323, 55)
         n = ctx2323.M[k]
-        first = theorem1_report(f, 0.5, k, 2.0)
-        second = theorem2_report(f, 0.5, n, 2.0)
+        first = theorem_reports(f, [0.5], [2.0], levels=[k])[0]
+        second = theorem_reports(f, [0.5], [2.0], orders=[n])[0]
         assert second.k == k
         assert second.rhs >= first.rhs - 1e-12
         assert second.ratio <= first.ratio + 1e-12
@@ -266,22 +264,22 @@ class TestTheorem2:
     def test_small_order_rejected(self, ctx2323):
         f = random_grid_2d(ctx2323, 1)
         with pytest.raises(ValueError):
-            theorem2_report(f, 0.5, 1, 2.0)
+            theorem_reports(f, [0.5], [2.0], orders=[1])
         with pytest.raises(ResolutionExceededError):
-            theorem2_report(f, 0.5, ctx2323.size, 2.0)
+            theorem_reports(f, [0.5], [2.0], orders=[ctx2323.size])
 
     def test_order_below_first_scale_rejected(self):
         ctx = GroupContext((3, 3, 3))
         f = random_grid_2d(ctx, 2)
         with pytest.raises(ValueError):
-            theorem2_report(f, 0.5, 2, 2.0)
+            theorem_reports(f, [0.5], [2.0], orders=[2])
 
     def test_bound_side_carries_log_factor(self, ctx2323):
         from vilenkin import modulus
 
         f = random_grid_2d(ctx2323, 72)
         alpha, p, n = 0.3, 2.0, 17
-        report = theorem2_report(f, alpha, n, p)
+        report = theorem_reports(f, [alpha], [p], orders=[n])[0]
         k = report.k
         M = ctx2323.M
         w1 = lambda r: modulus(f, "omega1", r, p).value
@@ -299,9 +297,11 @@ class TestTheoremReports:
         levels, orders = (1, 2, 3), (6, 9, 11, 12, 24, 35)
         reports = theorem_reports(f, alphas, ps, levels=levels, orders=orders)
         expected = [
-            theorem1_report(f, alpha, k, p) for alpha in alphas for k in levels for p in ps
+            theorem_reports(f, [alpha], [p], levels=[k])[0]
+            for alpha in alphas for k in levels for p in ps
         ] + [
-            theorem2_report(f, alpha, n, p) for alpha in alphas for n in orders for p in ps
+            theorem_reports(f, [alpha], [p], orders=[n])[0]
+            for alpha in alphas for n in orders for p in ps
         ]
         assert len(reports) == len(expected) == 3 * 3 * (3 + 6)
         key = lambda r: (r.claim, r.alpha, r.k, r.n, r.p)
@@ -320,6 +320,19 @@ class TestTheoremReports:
         below_first_scale = random_grid_2d(GroupContext((3, 3, 3)), 2)
         with pytest.raises(ValueError):
             theorem_reports(below_first_scale, [0.5], [2.0], orders=[2])
+
+    @pytest.mark.parametrize("p", (math.nan, -math.inf, 0.5))
+    def test_bad_p_raises_before_transform(self, ctx2323, p, monkeypatch):
+        def no_transform(_):
+            raise AssertionError("forward transform ran before p was checked")
+
+        f = random_grid_2d(ctx2323, 94)
+        monkeypatch.setattr("vilenkin.verify.fvt_forward_2d", no_transform)
+        with pytest.raises(ValueError, match="p must be >= 1 or inf"):
+            theorem_reports(f, [0.5], [2.0, p], levels=[1])
+        monkeypatch.undo()
+        (report,) = theorem_reports(f, [0.5], [math.inf], levels=[1])
+        assert math.isfinite(report.ratio)
 
     def test_empty_grid_gives_no_reports(self, ctx2323):
         f = random_grid_2d(ctx2323, 93)
