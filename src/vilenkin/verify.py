@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .approx import _axis_norms, _check_p, cesaro_mean, lp_norm
+from .approx import _axis_norms, _check_alpha, _check_p, cesaro_mean, lp_norm
 from .errors import ResolutionExceededError
 from .group import GroupContext, digit_table, index_expand
 from .kernels import _check_cap, cesaro_numbers, dirichlet_table, psi_values
@@ -229,13 +229,17 @@ def _check_order(ctx: GroupContext, n: int) -> int:
 def _kernel_integrals(ctx: GroupContext, coeffs: np.ndarray) -> tuple[float, float]:
     """Exact integrals of |sum_i c_i D_i(u) D_i(v)| and |sum_i c_i D_i(u)|.
 
-    ``coeffs[i-1]`` multiplies D_i, i = 1..n.
+    ``coeffs[i-1]`` multiplies D_i, i = 1..n.  D_i with i <= M_k depends on a
+    cell id only mod M_k, so the products cover one period and are tiled back
+    to the full grid before the mean, which then sums in the full-grid order.
     """
-    rows = _dirichlet_rows(ctx, len(coeffs))
+    period = next((Mk for Mk in ctx.M if Mk >= len(coeffs)), ctx.size)
+    reps = ctx.size // period
+    rows = _dirichlet_rows(ctx, len(coeffs))[:, :period]
     weighted = coeffs[:, None] * rows
-    quad = weighted.T @ rows
-    line = coeffs @ rows
-    return float(np.mean(np.abs(quad))), float(np.mean(np.abs(line)))
+    quad = np.abs(weighted.T @ rows)
+    line = np.abs(coeffs @ rows)
+    return float(np.mean(np.tile(quad, (reps, reps)))), float(np.mean(np.tile(line, reps)))
 
 
 def lemma1_report(
@@ -293,8 +297,8 @@ def lemma4_report(
 def lemma5_report(ctx: GroupContext, alpha: float, n: int) -> RatioReport:
     """The kernel integral III at order n against the clamped log n.
 
-    The proof bounds III by a constant per tail of n, so ``tail_decompose``
-    gives the structural diagnostic: the tail count s.
+    The proof bounds III by a constant per tail of n; ``tail_decompose``
+    gives the tail count s, which the report does not carry.
     """
     n = _check_order(ctx, n)
     quad, _ = _kernel_integrals(ctx, _kernel_weights(alpha, n, n))
@@ -382,7 +386,7 @@ def theorem_reports(
                 f"order {n} sits below M_1 = {ctx.M[1]}; no modulus level is defined"
             )
         cases.append(("theorem2", k, n, n, log_factor(n)))
-    alphas = [float(a) for a in alphas]
+    alphas = [_check_alpha(a) for a in alphas]
     ps = [_check_p(p) for p in ps]
     if not (cases and alphas and ps):
         return []

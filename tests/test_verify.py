@@ -9,6 +9,7 @@ from oracles import pointwise_lemma4_values
 from vilenkin import (
     GroupContext,
     ResolutionExceededError,
+    dirichlet_table,
     eq23_report,
     lemma1_report,
     lemma4_report,
@@ -20,6 +21,8 @@ from vilenkin import (
 )
 from vilenkin.verify import (
     FunctionFamily,
+    _kernel_integrals,
+    _kernel_weights,
     _modulus_rhs,
     eq23_profile,
     lemma4_values,
@@ -69,6 +72,46 @@ def test_log_factor_clamp():
     assert log_factor(1) == 1.0
     assert log_factor(2) == 1.0
     assert log_factor(3) == pytest.approx(math.log(3.0))
+
+
+def full_grid_integrals(ctx, coeffs):
+    """The kernel integrals as products over every cell, without the period."""
+    rows = dirichlet_table(ctx)[1 : len(coeffs) + 1]
+    quad = (coeffs[:, None] * rows).T @ rows
+    line = coeffs @ rows
+    return float(np.mean(np.abs(quad))), float(np.mean(np.abs(line)))
+
+
+def kernel_coefficient_sets(ctx):
+    """Lemma 4 weights at p = M_k and M_k + 7 for each k < N, and lemma 1's unit(M_j)."""
+    sets = [
+        _kernel_weights(alpha, ctx.M[k], p)
+        for alpha in (0.1, 0.5, 0.9)
+        for k in range(ctx.level)
+        for p in (ctx.M[k], ctx.M[k] + 7)
+    ]
+    for j in range(ctx.level):
+        unit = np.zeros(ctx.M[j])
+        unit[-1] = 1.0
+        sets.append(unit)
+    return sets
+
+
+class TestKernelIntegrals:
+    @pytest.mark.parametrize("m", [(4,) * 5, (2,) * 8], ids=["4^5", "2^8"])
+    def test_period_path_bit_identical_on_power_groups(self, m):
+        ctx = GroupContext(m)
+        for coeffs in kernel_coefficient_sets(ctx):
+            assert _kernel_integrals(ctx, coeffs) == full_grid_integrals(ctx, coeffs)
+
+    @pytest.mark.parametrize("m", [(2, 3, 2, 3), (3,) * 5], ids=["2323", "3^5"])
+    def test_period_path_matches_full_grid(self, m):
+        ctx = GroupContext(m)
+        for coeffs in kernel_coefficient_sets(ctx):
+            np.testing.assert_allclose(
+                _kernel_integrals(ctx, coeffs), full_grid_integrals(ctx, coeffs),
+                rtol=1e-15, atol=0.0,
+            )
 
 
 class TestLemma1:
@@ -332,6 +375,19 @@ class TestTheoremReports:
             theorem_reports(f, [0.5], [2.0, p], levels=[1])
         monkeypatch.undo()
         (report,) = theorem_reports(f, [0.5], [math.inf], levels=[1])
+        assert math.isfinite(report.ratio)
+
+    @pytest.mark.parametrize("alpha", (1.5, 0.0, math.nan))
+    def test_bad_alpha_raises_before_transform(self, ctx2323, alpha, monkeypatch):
+        def no_transform(_):
+            raise AssertionError("forward transform ran before alpha was checked")
+
+        f = random_grid_2d(ctx2323, 95)
+        monkeypatch.setattr("vilenkin.verify.fvt_forward_2d", no_transform)
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            theorem_reports(f, [0.5, alpha], [2.0], levels=[1])
+        monkeypatch.undo()
+        (report,) = theorem_reports(f, [0.5], [2.0], levels=[1])
         assert math.isfinite(report.ratio)
 
     def test_empty_grid_gives_no_reports(self, ctx2323):
