@@ -6,7 +6,10 @@ sum.  The fast path decimates by mixed-radix digits: one butterfly stage per
 coordinate, each contracting a stride-M_t block with the m_t-point root
 table, for O(M_N * sum(m_k)) arithmetic in total.  Because the group is a
 direct product, the stages touch disjoint digit positions and no reordering
-pass is needed.  Two-dimensional grids are transformed axis by axis.
+pass is needed.  Each stage contracts the leading axis of a contiguous copy,
+so all the other axes form einsum's inner loop.  Two-dimensional grids are
+transformed axis by axis, and their results are column-major: norms reduce
+in memory order, and the last bits of reported values depend on it.
 """
 
 from __future__ import annotations
@@ -118,21 +121,30 @@ class SpectralGrid2D(_GridBase):
         object.__setattr__(self, "values", arr)
 
 
-def _decimate(ctx: GroupContext, values: np.ndarray, sign: int) -> np.ndarray:
-    """Apply the digit-wise butterfly stages along the last axis."""
-    out = np.asarray(values, dtype=np.complex128)
-    lead = out.shape[:-1]
+def _decimate(
+    ctx: GroupContext, values: np.ndarray, sign: int, axis: int = -1
+) -> np.ndarray:
+    """Apply the digit-wise butterfly stages along ``axis``.
+
+    The transform axis is moved to the front of a contiguous copy, so each
+    stage contracts a leading axis and einsum's inner loop runs over all the
+    other axes at once.  Every output is still summed over the digit in the
+    same order, so the values are bit for bit those of a last-axis contraction.
+    """
+    arr = np.asarray(values, dtype=np.complex128)
+    out = np.ascontiguousarray(np.moveaxis(arr, axis, 0))
+    shape = out.shape
     size = ctx.size
     for mt, Mt in zip(ctx.m, ctx.M):
-        stage = _root_table(mt, sign)
-        view = out.reshape(*lead, size // (mt * Mt), mt, Mt)
-        out = np.einsum("...qjr,jk->...qkr", view, stage).reshape(*lead, size)
-    return out
+        view = out.reshape(size // (mt * Mt), mt, Mt, -1)
+        out = np.einsum("qjrl,jk->qkrl", view, _root_table(mt, sign))
+    return np.moveaxis(out.reshape(shape), 0, axis)
 
 
 def _decimate_2d(ctx: GroupContext, values: np.ndarray, sign: int) -> np.ndarray:
-    half = _decimate(ctx, values, sign)
-    return _decimate(ctx, half.T, sign).T
+    # Column-major, as norms reduce in memory order and report bytes depend on it.
+    half = _decimate(ctx, values, sign, axis=1)
+    return np.asfortranarray(_decimate(ctx, half, sign, axis=0))
 
 
 def fvt_forward(f: SampledFunction1D) -> SpectralGrid1D:

@@ -16,6 +16,8 @@ from vilenkin import (
     partial_sum_rect,
     psi_values,
 )
+from vilenkin.kernels import _root_table
+from vilenkin.transform import _decimate, _decimate_2d
 
 GROUPS = [(2,) * 6, (3,) * 5, (2, 3, 2, 3, 2, 3)]
 
@@ -91,6 +93,56 @@ def test_parseval_2d(ctx2323):
     energy_cells = np.mean(np.abs(f.values) ** 2)
     energy_coeffs = np.sum(np.abs(fvt_forward_2d(f).values) ** 2)
     assert energy_cells == pytest.approx(energy_coeffs, rel=1e-10)
+
+
+def _last_axis_reference(ctx, values, sign):
+    """The butterfly stages as a contraction of the last axis, stage by stage."""
+    out = np.asarray(values, dtype=np.complex128)
+    lead = out.shape[:-1]
+    size = ctx.size
+    for mt, Mt in zip(ctx.m, ctx.M):
+        view = out.reshape(*lead, size // (mt * Mt), mt, Mt)
+        out = np.einsum("...qjr,jk->...qkr", view, _root_table(mt, sign))
+        out = out.reshape(*lead, size)
+    return out
+
+
+class TestLayout:
+    """Leading-axis stages give the bits of last-axis stages, in the same order."""
+
+    GROUPS = [(2,) * 6, (2, 3, 2, 3), (3, 3, 2), (5, 7), (4, 4, 4), (6, 4, 3)]
+
+    @staticmethod
+    def _inputs(ctx, shape):
+        rng = np.random.default_rng(ctx.size)
+        yield rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        yield np.full(shape, 1 - 3.7j)
+
+    @pytest.mark.parametrize("m", GROUPS)
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_bit_identical_to_last_axis_stages(self, m, sign):
+        ctx = GroupContext(m)
+        size = ctx.size
+        for x in self._inputs(ctx, (size,)):
+            last = _last_axis_reference(ctx, x, sign)
+            assert np.array_equal(_decimate(ctx, x, sign), last)
+        for x in self._inputs(ctx, (size, size)):
+            rows = _last_axis_reference(ctx, x, sign)
+            both = _last_axis_reference(ctx, rows.T, sign).T
+            assert np.array_equal(_decimate_2d(ctx, x, sign), both)
+        for x in self._inputs(ctx, (3, size, size)):
+            last = _last_axis_reference(ctx, x, sign)
+            assert np.array_equal(_decimate(ctx, x, sign), last)
+            middle = np.swapaxes(_last_axis_reference(ctx, np.swapaxes(x, 1, 2), sign), 1, 2)
+            assert np.array_equal(_decimate(ctx, x, sign, axis=1), middle)
+
+    def test_2d_results_are_column_major(self, ctx2323):
+        # lp_norm reduces in memory order, so the last bits of every norm, and
+        # with them the report bytes, depend on this layout.
+        f = random_grid_2d(ctx2323, 41)
+        g = fvt_forward_2d(f)
+        assert g.values.flags.f_contiguous
+        assert fvt_inverse_2d(g).values.flags.f_contiguous
 
 
 class TestPartialSums:
