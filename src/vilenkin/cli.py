@@ -122,7 +122,7 @@ class RunConfig:
 def _parse_m(value) -> tuple[int, ...]:
     if isinstance(value, str):
         return GroupContext.from_string(value).m
-    gens = tuple(int(v) for v in value)
+    gens = tuple(_parse_int(v) for v in value)
     if not gens:
         raise ValueError("empty generator sequence")
     return gens
@@ -139,6 +139,8 @@ def _parse_floats(value) -> tuple[float, ...]:
         value = [tok.strip() for tok in value.split(",") if tok.strip()]
     out = []
     for tok in value:
+        if isinstance(tok, bool):
+            raise ValueError(f"bad value {tok!r}")
         try:
             out.append(float(tok))  # also reads "inf" and "infinity"
         except (TypeError, ValueError) as exc:
@@ -188,30 +190,37 @@ _PARSERS: dict[str, Callable] = {
 }
 
 
-def load_config(config_path: str | None, overrides: dict) -> RunConfig:
+def _read_object(path: str, what: str) -> dict:
+    """The JSON object in the file at ``path``; ``what`` names it in errors."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"{what} {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} {path}: expected a JSON object")
+    return doc
+
+
+def load_config(config_path: str | None, overrides: dict, *,
+                default_out: str = RunConfig.out) -> RunConfig:
     """A validated RunConfig: defaults, then the JSON document, then the flags.
 
     A value of None (a flag not given, or a JSON null) keeps what is below it.
+    ``default_out`` is the output path when neither the document nor the
+    flags give one.
     """
-    doc: dict = {}
-    if config_path is not None:
-        try:
-            text = Path(config_path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"config {config_path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config {config_path}: expected a JSON object")
-        for key in doc:
-            if key not in _PARSERS:
-                raise ConfigError(f"config {config_path}: unknown field {key!r}")
+    doc = {} if config_path is None else _read_object(config_path, "config")
+    for key in doc:
+        if key not in _PARSERS:
+            raise ConfigError(f"config {config_path}: unknown field {key!r}")
     given = {**doc, **{k: v for k, v in overrides.items() if v is not None}}
-    cfg = RunConfig()
+    cfg = RunConfig(out=default_out)
     for name, value in given.items():
         if value is None:
             continue
@@ -451,16 +460,7 @@ def _load_caps(path: str | None) -> dict[str, float | dict[float, float]]:
     """A cap file as {claim: cap} or {claim: {alpha: cap}}, alphas as floats."""
     if path is None:
         return {}
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read cap file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"cap file {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"cap file {path}: expected a JSON object")
+    doc = _read_object(path, "cap file")
     caps: dict[str, float | dict[float, float]] = {}
     for claim, entry in doc.items():
         if claim not in CLAIMS + ("lemma0",):
@@ -619,9 +619,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
     try:
-        cfg = load_config(args.config, overrides)
-        if args.out is None and args.config is None:
-            cfg.out = args.default_out
+        cfg = load_config(args.config, overrides, default_out=args.default_out)
         return args.run(cfg)
     except (ConfigError, ResolutionExceededError) as exc:
         # a ResolutionExceededError here is one that no task turned into rows

@@ -42,20 +42,28 @@ __all__ = [
 MAX_CELLS_2D = 1024
 
 
-def _validated(ctx: GroupContext, values, shape: tuple[int, ...], cap: int) -> np.ndarray:
-    _check_cap(ctx, cap)
-    arr = np.array(values, dtype=np.complex128, copy=True)
-    if arr.shape != shape:
-        raise ValueError(f"values have shape {arr.shape}, expected {shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("values must be finite")
-    arr.flags.writeable = False
-    return arr
-
-
+@dataclass(frozen=True, eq=False)
 class _GridBase:
+    """Complex values on M_N cells or indices per axis, checked and read-only.
+
+    The values are copied in the caller's memory order: norms reduce in
+    memory order, so a layout change would move the last bits of reports.
+    """
+
     ctx: GroupContext
     values: np.ndarray
+    _ndim, _cap = 1, MAX_CELLS_1D
+
+    def __post_init__(self) -> None:
+        _check_cap(self.ctx, self._cap)
+        arr = np.array(self.values, dtype=np.complex128, copy=True)
+        shape = (self.ctx.size,) * self._ndim
+        if arr.shape != shape:
+            raise ValueError(f"values have shape {arr.shape}, expected {shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("values must be finite")
+        arr.flags.writeable = False
+        object.__setattr__(self, "values", arr)
 
     def _binop(self, other, op):
         if not isinstance(other, type(self)):
@@ -71,54 +79,24 @@ class _GridBase:
         return self._binop(other, np.subtract)
 
 
-@dataclass(frozen=True, eq=False)
 class SampledFunction1D(_GridBase):
     """Complex samples on the M_N level-N cells, indexed by cell id."""
 
-    ctx: GroupContext
-    values: np.ndarray
 
-    def __post_init__(self) -> None:
-        arr = _validated(self.ctx, self.values, (self.ctx.size,), MAX_CELLS_1D)
-        object.__setattr__(self, "values", arr)
-
-
-@dataclass(frozen=True, eq=False)
 class SpectralGrid1D(_GridBase):
     """Fourier coefficients f_hat(k) for indices k < M_N."""
 
-    ctx: GroupContext
-    values: np.ndarray
 
-    def __post_init__(self) -> None:
-        arr = _validated(self.ctx, self.values, (self.ctx.size,), MAX_CELLS_1D)
-        object.__setattr__(self, "values", arr)
-
-
-@dataclass(frozen=True, eq=False)
 class SampledFunction2D(_GridBase):
     """Complex samples on the M_N x M_N grid of level-N cell pairs."""
 
-    ctx: GroupContext
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        size = self.ctx.size
-        arr = _validated(self.ctx, self.values, (size, size), MAX_CELLS_2D)
-        object.__setattr__(self, "values", arr)
+    _ndim, _cap = 2, MAX_CELLS_2D
 
 
-@dataclass(frozen=True, eq=False)
 class SpectralGrid2D(_GridBase):
     """Fourier coefficients f_hat(k1, k2) for indices below M_N."""
 
-    ctx: GroupContext
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        size = self.ctx.size
-        arr = _validated(self.ctx, self.values, (size, size), MAX_CELLS_2D)
-        object.__setattr__(self, "values", arr)
+    _ndim, _cap = 2, MAX_CELLS_2D
 
 
 def _decimate(
@@ -188,14 +166,7 @@ def marginal_partial_sum(grid: SpectralGrid2D, axis: int, n: int) -> SampledFunc
     module applies on both axes: coefficients come from conjugated analysis
     and synthesis uses plain characters.
     """
-    size = grid.ctx.size
     if axis not in (1, 2):
         raise ValueError(f"axis must be 1 or 2, got {axis}")
-    if not 0 <= n <= size:
-        raise ResolutionExceededError(f"truncation {n} outside 0..{size}")
-    masked = np.zeros_like(grid.values)
-    if axis == 1:
-        masked[:n, :] = grid.values[:n, :]
-    else:
-        masked[:, :n] = grid.values[:, :n]
-    return fvt_inverse_2d(SpectralGrid2D(grid.ctx, masked))
+    size = grid.ctx.size
+    return partial_sum_rect(grid, n, size) if axis == 1 else partial_sum_rect(grid, size, n)

@@ -138,8 +138,8 @@ class FunctionFamily:
             raise ValueError(
                 f"{self.kind} takes {arity[self.kind]} parameter(s), got {self.params}"
             )
-        if self.seed is not None and self.seed < 0:
-            raise ValueError(f"{self.kind} seed must be >= 0, got {self.seed}")
+        if any(v < 0 for v in self.params):
+            raise ValueError(f"{self.kind} parameters must be >= 0, got {self.params}")
 
     @property
     def label(self) -> str:

@@ -68,6 +68,51 @@ class TestConfig:
                      "--families", "random_cell(-1)",
                      "--out", str(tmp_path / "r.csv")]) == 2
 
+    @pytest.mark.parametrize("spec", ("character(-1,0)", "cylinder(-1)"))
+    def test_negative_family_parameter_rejected(self, spec, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="families"):
+            load_config(None, {"families": spec})
+        out = tmp_path / "r.csv"
+        assert main(["verify", "--m", "2,3", "--claims", "theorem1", "--alpha", "0.5",
+                     "--p", "2", "--families", spec, "--out", str(out)]) == 2
+        assert "configuration error: field 'families': " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_family_beyond_the_group_gives_error_rows(self, tmp_path):
+        out = tmp_path / "r.csv"
+        assert main(["verify", "--m", "2,3", "--claims", "theorem1", "--alpha", "0.5",
+                     "--p", "2", "--families", "cylinder(3)", "--out", str(out)]) == 0
+        assert [r["error"] for r in read_rows(out)] == ["cylinder level 3 outside 0..2"]
+
+    @pytest.mark.parametrize("gens", ("[2.7, 3]", "[true, 3]"))
+    def test_non_integer_generator_rejected(self, tmp_path, gens):
+        doc = tmp_path / "cfg.json"
+        doc.write_text(f'{{"m": {gens}}}', encoding="utf-8")
+        with pytest.raises(ConfigError, match="'m': expected an integer"):
+            load_config(str(doc), {})
+
+    def test_boolean_p_rejected(self, tmp_path):
+        doc = tmp_path / "cfg.json"
+        doc.write_text('{"p": [true]}', encoding="utf-8")
+        with pytest.raises(ConfigError, match="'p': bad value True"):
+            load_config(str(doc), {})
+
+    @pytest.mark.parametrize("command, default", (
+        ("check-identities", "vilenkin-identities.csv"),
+        ("verify", "vilenkin-report.csv"),
+        ("sweep", "vilenkin-sweep.csv"),
+    ))
+    def test_config_without_out_uses_command_default(self, tmp_path, monkeypatch,
+                                                      command, default):
+        monkeypatch.chdir(tmp_path)
+        doc = tmp_path / "cfg.json"
+        doc.write_text('{"m": [2, 3], "alpha": [0.5], "p": [2], "claims": ["lemma5"]}',
+                       encoding="utf-8")
+        assert load_config(str(doc), {}).out == RunConfig().out
+        assert main([command, "--config", str(doc)]) == 0
+        written = {p.name for p in tmp_path.glob("*.csv")}
+        assert written == {default}
+
     @pytest.mark.parametrize("level", ("true", "2.5"))
     def test_non_integer_level_rejected(self, tmp_path, level):
         doc = tmp_path / "cfg.json"
@@ -137,6 +182,17 @@ class TestConfig:
         bad.write_text('{"m": [2,\n 3,]}', encoding="utf-8")
         with pytest.raises(ConfigError, match="line 2"):
             load_config(str(bad), {})
+
+    def test_non_utf8_documents_rejected(self, tmp_path, capsys):
+        doc = tmp_path / "cfg.json"
+        doc.write_bytes(b'{"m": [2, 3], "out": "\xff"}')
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(str(doc), {})
+        out = tmp_path / "r.csv"
+        assert main(["verify", "--m", "2,3", "--claims", "lemma5", "--alpha", "0.5",
+                     "--cap-file", str(doc), "--out", str(out)]) == 2
+        assert "cannot read cap file" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_field_rejected(self, tmp_path):
         doc = tmp_path / "cfg.json"

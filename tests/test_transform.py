@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from vilenkin import (
     ResolutionExceededError,
     SampledFunction1D,
     SampledFunction2D,
+    SpectralGrid1D,
+    SpectralGrid2D,
     fvt_forward,
     fvt_forward_2d,
     fvt_inverse,
@@ -20,6 +24,8 @@ from vilenkin.kernels import _root_table
 from vilenkin.transform import _decimate, _decimate_2d
 
 GROUPS = [(2,) * 6, (3,) * 5, (2, 3, 2, 3, 2, 3)]
+GRID_TYPES = [(SampledFunction1D, 1), (SpectralGrid1D, 1),
+              (SampledFunction2D, 2), (SpectralGrid2D, 2)]
 
 
 @pytest.mark.parametrize("m", GROUPS)
@@ -255,3 +261,65 @@ class TestGridTypes:
         assert f.values[0] == 1.0
         with pytest.raises(ValueError):
             f.values[0] = 2.0
+
+    @pytest.mark.parametrize("cls, ndim", GRID_TYPES)
+    def test_wrong_shape_rejected(self, ctx232, cls, ndim):
+        size = ctx232.size
+        for shape in ((size + 1,) * ndim, (size,) * (3 - ndim)):
+            with pytest.raises(ValueError, match="shape"):
+                cls(ctx232, np.ones(shape))
+
+    @pytest.mark.parametrize("cls, ndim", GRID_TYPES)
+    def test_nan_rejected(self, ctx232, cls, ndim):
+        values = np.ones((ctx232.size,) * ndim, dtype=complex)
+        values.flat[3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            cls(ctx232, values)
+
+    @pytest.mark.parametrize("cls, ndim", GRID_TYPES)
+    def test_cap_exceeded(self, cls, ndim):
+        big = GroupContext((2,) * (13 if ndim == 1 else 11))
+        values = np.broadcast_to(np.complex128(1.0), (big.size,) * ndim)
+        with pytest.raises(ResolutionExceededError, match="resolution cap"):
+            cls(big, values)
+
+    @pytest.mark.parametrize("cls, ndim", GRID_TYPES)
+    def test_copied_read_only_and_frozen(self, ctx232, cls, ndim):
+        source = np.ones((ctx232.size,) * ndim, dtype=complex)
+        grid = cls(ctx232, source)
+        source.flat[0] = 5.0
+        assert grid.values.flat[0] == 1.0
+        assert not grid.values.flags.writeable
+        with pytest.raises(ValueError):
+            grid.values.flat[0] = 2.0
+        with pytest.raises(FrozenInstanceError):
+            grid.values = source
+
+    @pytest.mark.parametrize("left, right", [(SampledFunction2D, SpectralGrid2D),
+                                             (SampledFunction1D, SampledFunction2D)])
+    def test_mixed_types_do_not_combine(self, ctx232, left, right):
+        ndim = dict(GRID_TYPES)
+        a = left(ctx232, np.ones((ctx232.size,) * ndim[left]))
+        b = right(ctx232, np.ones((ctx232.size,) * ndim[right]))
+        with pytest.raises(TypeError):
+            _ = a - b
+
+    @pytest.mark.parametrize("cls", [SampledFunction2D, SpectralGrid2D])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_2d_keeps_memory_order(self, ctx232, cls, order):
+        # lp_norm reduces in memory order, so a reordered copy moves report bits.
+        size = ctx232.size
+        values = np.arange(size * size, dtype=complex).reshape(size, size)
+        grid = cls(ctx232, np.array(values, order=order))
+        flag = "c_contiguous" if order == "C" else "f_contiguous"
+        assert getattr(grid.values.flags, flag)
+        assert np.array_equal(grid.values, values)
+
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_marginal_sum_is_bit_identical_to_rectangle(self, ctx232, axis):
+        grid = fvt_forward_2d(random_grid_2d(ctx232, 43))
+        size = ctx232.size
+        for n in (0, 1, 5, 7, size):
+            rect = (n, size) if axis == 1 else (size, n)
+            expected = partial_sum_rect(grid, *rect).values
+            assert np.array_equal(marginal_partial_sum(grid, axis, n).values, expected)
