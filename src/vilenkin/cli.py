@@ -524,22 +524,19 @@ def identity_checks(cfg: RunConfig, ctx: GroupContext) -> list[tuple[str, str, f
         ))
     for s in range(ctx.level):
         for n_s in range(1, ctx.m[s]):
-            for j in range(n_s * ctx.M[s] + 1):
+            for j, residual in enumerate(lemma2_check(ctx, s, n_s)):
                 checks.append((
-                    "lemma2", f"s={s},n_s={n_s},j={j}",
-                    lemma2_check(ctx, s, n_s, j), IDENTITY_TOLERANCE,
+                    "lemma2", f"s={s},n_s={n_s},j={j}", residual, IDENTITY_TOLERANCE,
                 ))
     for level in range(ctx.level):
         for digit in range(ctx.m[level]):
+            direct, block = paley_check(ctx, level, digit)
             for j in range(ctx.M[level]):
                 checks.append((
-                    "eq20", f"A={level},n_A={digit},j={j}",
-                    paley_check(ctx, level, digit, j), IDENTITY_TOLERANCE,
+                    "eq20", f"A={level},n_A={digit},j={j}", direct[j], IDENTITY_TOLERANCE,
                 ))
                 checks.append((
-                    "eq20b", f"A={level},r={digit},j={j}",
-                    paley_check(ctx, level, digit, j, block_form=True),
-                    IDENTITY_TOLERANCE,
+                    "eq20b", f"A={level},r={digit},j={j}", block[j], IDENTITY_TOLERANCE,
                 ))
     return checks
 

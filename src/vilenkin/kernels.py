@@ -219,10 +219,10 @@ def compensated_cumsum(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def lemma2_check(ctx: GroupContext, s: int, n_s: int, j: int) -> float:
-    """Max residual of the kernel reflection identity on every cell.
+def lemma2_check(ctx: GroupContext, s: int, n_s: int) -> np.ndarray:
+    """Max residuals of the kernel reflection identity, one per offset j.
 
-    For 0 < n_s < m_s and 0 <= j <= n_s*M_s, checks
+    For 0 < n_s < m_s and every 0 <= j <= n_s*M_s, checks
     D_{n_s*M_s - j} = D_{n_s*M_s} - psi_{n_s*M_s - 1} * conj(D_j).
     """
     if not 0 <= s < ctx.level:
@@ -230,40 +230,34 @@ def lemma2_check(ctx: GroupContext, s: int, n_s: int, j: int) -> float:
     if not 0 < n_s < ctx.m[s]:
         raise ValueError(f"digit {n_s} not in 1..{ctx.m[s] - 1}")
     block = n_s * ctx.M[s]
-    if not 0 <= j <= block:
-        raise ValueError(f"offset {j} not in 0..{block}")
     kern = dirichlet_table(ctx)
-    rhs = kern[block] - psi_values(ctx, block - 1) * kern[j].conj()
-    return float(np.max(np.abs(kern[block - j] - rhs)))
+    char = psi_values(ctx, block - 1)
+    return np.array([np.max(np.abs(kern[block - j] - (kern[block] - char * kern[j].conj())))
+                     for j in range(block + 1)])
 
 
-def paley_check(
-    ctx: GroupContext, level: int, digit: int, j: int, block_form: bool = False
-) -> float:
-    """Max residual of the Paley shift decomposition on every cell.
+def paley_check(ctx: GroupContext, level: int, digit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Max residuals ``(direct, block)`` of the Paley shift decomposition per j < M_level.
 
     Direct form: D_{j + digit*M_level} = D_{digit*M_level} + psi_{digit*M_level} * D_j.
-    Block form (``block_form=True``): the same left side against
+    Block form: the same left side against
     (sum_{q<digit} psi_{M_level}^q) * D_{M_level} + psi_{M_level}^digit * D_j.
-    Requires 0 <= j < M_level and 0 <= digit < m_level.
+    Requires 0 <= digit < m_level.
     """
     if not 0 <= level < ctx.level:
         raise ResolutionExceededError(f"level {level} outside 0..{ctx.level - 1}")
     if not 0 <= digit < ctx.m[level]:
         raise ValueError(f"digit {digit} not in 0..{ctx.m[level] - 1}")
-    if not 0 <= j < ctx.M[level]:
-        raise ValueError(f"offset {j} not in 0..{ctx.M[level] - 1}")
     kern = dirichlet_table(ctx)
-    base = digit * ctx.M[level]
-    lhs = kern[j + base]
-    if block_form:
-        geom = np.zeros(ctx.size, dtype=np.complex128)
-        for q in range(digit):
-            geom += psi_values(ctx, q * ctx.M[level])
-        rhs = geom * kern[ctx.M[level]] + psi_values(ctx, base) * kern[j]
-    else:
-        rhs = kern[base] + psi_values(ctx, base) * kern[j]
-    return float(np.max(np.abs(lhs - rhs)))
+    step = ctx.M[level]
+    base = digit * step
+    char = psi_values(ctx, base)
+    head = sum(psi_values(ctx, q * step) for q in range(digit)) * kern[step]
+    direct = np.array([np.max(np.abs(kern[j + base] - (kern[base] + char * kern[j])))
+                       for j in range(step)])
+    block = np.array([np.max(np.abs(kern[j + base] - (head + char * kern[j])))
+                      for j in range(step)])
+    return direct, block
 
 
 def eq1_residual(ctx: GroupContext, k: int) -> float:
@@ -305,6 +299,8 @@ def eq3_residual(beta: float, length: int) -> float:
 
 
 def eq4_residual(alpha: float, n: int = 10_000) -> float:
-    """Gap |A_n^alpha * n^(-alpha) - 1/Gamma(alpha+1)| at a single n."""
+    """Gap |A_n^alpha * n^(-alpha) - 1/Gamma(alpha+1)| at a single n >= 1."""
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
     value = float(cesaro_numbers(alpha, n)[n])
     return abs(value * n ** (-alpha) - 1.0 / math.gamma(alpha + 1.0))

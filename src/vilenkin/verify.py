@@ -214,7 +214,7 @@ def _dirichlet_rows(ctx: GroupContext, n: int) -> np.ndarray:
 
 def _kernel_weights(alpha: float, terms: int, p: int) -> np.ndarray:
     """A_{p-i}^{-alpha-1} for i = 1..terms, the weight of D_i at order p."""
-    return cesaro_numbers(-float(alpha) - 1.0, p - 1)[p - np.arange(1, terms + 1)]
+    return cesaro_numbers(-_check_alpha(alpha) - 1.0, p - 1)[p - np.arange(1, terms + 1)]
 
 
 def _check_order(ctx: GroupContext, n: int) -> int:
@@ -270,12 +270,16 @@ def lemma4_values(
     if not 0 <= k <= ctx.level:
         raise ResolutionExceededError(f"level {k} outside 0..{ctx.level}")
     block = ctx.M[k]
-    p_list = [int(p) for p in p_values]
-    if not p_list:
-        raise ValueError("empty p range")
-    for p in p_list:
+    p_list = []
+    for given in p_values:
+        if not float(given).is_integer():
+            raise ValueError(f"p = {given} is not an integer")
+        p = int(given)
         if p < block:
             raise ValueError(f"p = {p} below M_k = {block}")
+        p_list.append(p)
+    if not p_list:
+        raise ValueError("empty p range")
     out = np.empty(len(p_list), dtype=np.float64)
     for idx, p in enumerate(p_list):
         quad, _ = _kernel_integrals(ctx, _kernel_weights(alpha, block, p))

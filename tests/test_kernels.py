@@ -182,6 +182,11 @@ class TestCesaroNumbers:
         assert abs(value * n ** (-alpha) - 1.0 / lanczos_gamma(alpha + 1.0)) <= 0.01
         assert eq4_residual(alpha, n) <= 0.01
 
+    @pytest.mark.parametrize("n", (0, -3))
+    def test_growth_gap_refuses_order_below_one(self, n):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            eq4_residual(0.5, n)
+
     def test_length_cap(self):
         with pytest.raises(ValueError):
             cesaro_numbers(0.5, 10**6 + 1)
@@ -206,31 +211,67 @@ class TestCesaroNumbers:
             assert out[idx] == pytest.approx(math.fsum(values[: idx + 1]), rel=1e-15)
 
 
+def reflection_residual(ctx, s, n_s, j):
+    """Lemma 2's residual at the one offset j, the reference for lemma2_check."""
+    kern = dirichlet_table(ctx)
+    block = n_s * ctx.M[s]
+    rhs = kern[block] - psi_values(ctx, block - 1) * kern[j].conj()
+    return float(np.max(np.abs(kern[block - j] - rhs)))
+
+
+def shift_residual(ctx, level, digit, j, block_form):
+    """Paley's residual at the one offset j, the reference for paley_check."""
+    kern = dirichlet_table(ctx)
+    base = digit * ctx.M[level]
+    if block_form:
+        geom = np.zeros(ctx.size, dtype=np.complex128)
+        for q in range(digit):
+            geom += psi_values(ctx, q * ctx.M[level])
+        rhs = geom * kern[ctx.M[level]] + psi_values(ctx, base) * kern[j]
+    else:
+        rhs = kern[base] + psi_values(ctx, base) * kern[j]
+    return float(np.max(np.abs(kern[j + base] - rhs)))
+
+
+IDENTITY_GROUPS = [(2, 3, 2), (2, 2, 2, 2), (3, 3, 2), (5, 7)]
+
+
 class TestKernelIdentities:
     @pytest.mark.parametrize("m", [(2, 3, 2), (2, 2, 2, 2)])
     def test_reflection_exhaustive(self, m):
         ctx = GroupContext(m)
         for s in range(ctx.level):
             for n_s in range(1, ctx.m[s]):
-                for j in range(n_s * ctx.M[s] + 1):
-                    assert lemma2_check(ctx, s, n_s, j) < 1e-10
+                residuals = lemma2_check(ctx, s, n_s)
+                assert residuals.shape == (n_s * ctx.M[s] + 1,)
+                assert np.all(residuals < 1e-10)
+
+    @pytest.mark.parametrize("m", IDENTITY_GROUPS)
+    def test_reflection_matches_per_offset_reference(self, m):
+        ctx = GroupContext(m)
+        for s in range(ctx.level):
+            for n_s in range(1, ctx.m[s]):
+                residuals = lemma2_check(ctx, s, n_s)
+                assert residuals.dtype == np.float64
+                reference = [reflection_residual(ctx, s, n_s, j)
+                             for j in range(n_s * ctx.M[s] + 1)]
+                assert np.array_equal(residuals, reference)
 
     def test_reflection_examples(self):
         ctx = GroupContext((2, 3, 2))
-        assert lemma2_check(ctx, 1, 2, 0) == 0.0
-        assert lemma2_check(ctx, 1, 2, 1) < 1e-12
+        residuals = lemma2_check(ctx, 1, 2)
+        assert residuals[0] == 0.0
+        assert residuals[1] < 1e-12
         walsh = GroupContext((2, 2, 2))
-        assert lemma2_check(walsh, 2, 1, 3) < 1e-12
+        assert lemma2_check(walsh, 2, 1)[3] < 1e-12
 
     def test_reflection_preconditions(self, ctx232):
         with pytest.raises(ResolutionExceededError):
-            lemma2_check(ctx232, 3, 1, 0)
+            lemma2_check(ctx232, 3, 1)
         with pytest.raises(ValueError):
-            lemma2_check(ctx232, 1, 0, 0)
+            lemma2_check(ctx232, 1, 0)
         with pytest.raises(ValueError):
-            lemma2_check(ctx232, 1, 3, 0)
-        with pytest.raises(ValueError):
-            lemma2_check(ctx232, 1, 2, 5)
+            lemma2_check(ctx232, 1, 3)
 
     @pytest.mark.parametrize("m", [(2, 3, 2), (2, 2, 2, 2)])
     @pytest.mark.parametrize("block_form", [False, True])
@@ -238,18 +279,28 @@ class TestKernelIdentities:
         ctx = GroupContext(m)
         for level in range(ctx.level):
             for digit in range(ctx.m[level]):
-                for j in range(ctx.M[level]):
-                    assert paley_check(ctx, level, digit, j, block_form) < 1e-10
+                residuals = paley_check(ctx, level, digit)[block_form]
+                assert residuals.shape == (ctx.M[level],)
+                assert np.all(residuals < 1e-10)
+
+    @pytest.mark.parametrize("m", IDENTITY_GROUPS)
+    def test_shift_decomposition_matches_per_offset_reference(self, m):
+        ctx = GroupContext(m)
+        for level in range(ctx.level):
+            for digit in range(ctx.m[level]):
+                for block_form, residuals in enumerate(paley_check(ctx, level, digit)):
+                    assert residuals.dtype == np.float64
+                    reference = [shift_residual(ctx, level, digit, j, block_form)
+                                 for j in range(ctx.M[level])]
+                    assert np.array_equal(residuals, reference)
 
     def test_shift_decomposition_examples(self, ctx232):
-        assert paley_check(ctx232, 1, 1, 0) == 0.0
-        assert paley_check(ctx232, 1, 0, 1) == 0.0
-        assert paley_check(ctx232, 1, 1, 1) < 1e-12
+        assert paley_check(ctx232, 1, 1)[0][0] == 0.0
+        assert paley_check(ctx232, 1, 0)[0][1] == 0.0
+        assert paley_check(ctx232, 1, 1)[0][1] < 1e-12
 
     def test_shift_decomposition_preconditions(self, ctx232):
         with pytest.raises(ResolutionExceededError):
-            paley_check(ctx232, 3, 0, 0)
+            paley_check(ctx232, 3, 0)
         with pytest.raises(ValueError):
-            paley_check(ctx232, 1, 3, 0)
-        with pytest.raises(ValueError):
-            paley_check(ctx232, 1, 1, 2)
+            paley_check(ctx232, 1, 3)

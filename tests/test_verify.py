@@ -113,6 +113,22 @@ class TestKernelIntegrals:
                 rtol=1e-15, atol=0.0,
             )
 
+    @pytest.mark.parametrize("alpha", (0.0, 1.0, 1.5, -0.5, math.nan))
+    @pytest.mark.parametrize("report", [
+        lambda ctx, alpha: lemma4_report(ctx, alpha, 1, [2, 3]),
+        lambda ctx, alpha: lemma5_report(ctx, alpha, 4),
+        lambda ctx, alpha: eq23_report(ctx, alpha, 4),
+    ], ids=["lemma4", "lemma5", "eq23"])
+    def test_reports_refuse_alpha_outside_unit_interval(
+        self, ctx2323, report, alpha, monkeypatch
+    ):
+        def no_table(_):
+            raise AssertionError("kernel table built before alpha was checked")
+
+        monkeypatch.setattr("vilenkin.verify.dirichlet_table", no_table)
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            report(ctx2323, alpha)
+
 
 class TestLemma1:
     def test_single_coefficient(self, ctx232):
@@ -193,6 +209,13 @@ class TestLemma4:
             lemma4_values(ctx232, 0.5, 1, [])
         with pytest.raises(ResolutionExceededError):
             lemma4_values(ctx232, 0.5, 4, [100])
+
+    @pytest.mark.parametrize("p", (2.7, math.inf, math.nan))
+    def test_refuses_non_integral_p(self, ctx232, p):
+        with pytest.raises(ValueError, match=f"p = {p} is not an integer"):
+            lemma4_values(ctx232, 0.5, 1, [2, p])
+        assert np.array_equal(lemma4_values(ctx232, 0.5, 1, [2.0, np.int64(3)]),
+                              lemma4_values(ctx232, 0.5, 1, [2, 3]))
 
 
 class TestLemma5:
