@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResolutionExceededError
-from .group import GroupContext, _negate_ids, translate_ids
+from .group import GroupContext, _check_index, _negate_ids, translate_ids
 from .kernels import cesaro_numbers
 from .transform import SampledFunction2D, SpectralGrid2D, fvt_forward_2d, fvt_inverse_2d
 
@@ -109,9 +108,7 @@ def cesaro_weights(n: int, alpha: float) -> np.ndarray:
 
     Coefficients at mx >= n are dropped.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"mean order must be >= 1, got {n}")
+    n = _check_index(n, 1, None, "mean order")
     alpha = _check_alpha(alpha)
     table = cesaro_numbers(-alpha, n - 1)
     weights = table[::-1] / table[n - 1]
@@ -122,9 +119,7 @@ def cesaro_weights(n: int, alpha: float) -> np.ndarray:
 def cesaro_mean(grid: SpectralGrid2D, n: int, alpha: float) -> SampledFunction2D:
     """The (C,-alpha) mean of the quadratic partial sums, via one synthesis."""
     size = grid.ctx.size
-    n = int(n)
-    if n > size:
-        raise ResolutionExceededError(f"mean order {n} exceeds M_N = {size}")
+    n = _check_index(n, 1, size, "mean order")
     weights = cesaro_weights(n, alpha)
     idx = np.maximum.outer(np.arange(size), np.arange(size))
     multiplier = np.where(idx < n, weights[np.minimum(idx, n - 1)], 0.0)
@@ -133,9 +128,7 @@ def cesaro_mean(grid: SpectralGrid2D, n: int, alpha: float) -> SampledFunction2D
 
 def shift_representatives(ctx: GroupContext, level: int) -> np.ndarray:
     """Cell ids of I_level: one representative per level-N cell of the interval."""
-    if not 0 <= level <= ctx.level:
-        raise ResolutionExceededError(f"level {level} outside 0..{ctx.level}")
-    step = ctx.M[level]
+    step = ctx.M[_check_index(level, 0, ctx.level, "level")]
     return np.arange(0, ctx.size, step)
 
 
@@ -253,16 +246,13 @@ def modulus(
     """
     if kind not in MODULUS_KINDS:
         raise ValueError(f"kind must be one of {MODULUS_KINDS}, got {kind!r}")
-    if not 0 <= level <= f.ctx.level:
-        raise ResolutionExceededError(f"level {level} outside 0..{f.ctx.level}")
+    level = _check_index(level, 0, f.ctx.level, "level")
     if kind != "omega12":
         if level2 is not None:
             raise ValueError("level2 applies only to the mixed modulus")
         second = None
     else:
-        second = level if level2 is None else int(level2)
-        if not 0 <= second <= f.ctx.level:
-            raise ResolutionExceededError(f"level {second} outside 0..{f.ctx.level}")
+        second = level if level2 is None else _check_index(level2, 0, f.ctx.level, "level")
     p = _check_p(p)
 
     if kind in ("omega1", "omega2"):

@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .approx import _check_alpha, _check_p
 from .errors import ResolutionExceededError
 from .group import GroupContext
 from .kernels import (
@@ -84,26 +85,24 @@ class RunConfig:
             ctx = GroupContext(self.m)
         except ValueError as exc:
             raise ConfigError(f"field 'm': {exc}") from exc
-        if self.level is not None:
-            if not 1 <= self.level <= ctx.level:
-                raise ConfigError(
-                    f"field 'level': must be in 1..{ctx.level}, got {self.level}"
-                )
-            ctx = ctx.truncate(self.level)
-        return ctx
+        if self.level is None:
+            return ctx
+        try:
+            return ctx.truncate(self.level)
+        except ValueError as exc:
+            raise ConfigError(f"field 'level': {exc}") from exc
 
     def validate(self) -> None:
         self.context()
-        for a in self.alpha:
-            if not 0.0 < a < 1.0:
-                raise ConfigError(f"field 'alpha': value {a} outside (0, 1)")
-        if not self.alpha:
-            raise ConfigError("field 'alpha': empty list")
-        for q in self.p:
-            if not q >= 1.0:
-                raise ConfigError(f"field 'p': value {q} is not >= 1 or inf")
-        if not self.p:
-            raise ConfigError("field 'p': empty list")
+        for name, check in (("alpha", _check_alpha), ("p", _check_p)):
+            values = getattr(self, name)
+            try:
+                for value in values:
+                    check(value)
+            except ValueError as exc:
+                raise ConfigError(f"field {name!r}: {exc}") from exc
+            if not values:
+                raise ConfigError(f"field {name!r}: empty list")
         for claim in self.claims:
             if claim not in CLAIMS:
                 raise ConfigError(f"field 'claims': unknown claim {claim!r}")

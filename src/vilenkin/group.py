@@ -35,6 +35,27 @@ __all__ = [
 ]
 
 
+def _check_index(value, lo: int, hi: int | None, what: str) -> int:
+    """``value`` as an int in lo..hi; ``hi=None`` leaves it unbounded above.
+
+    The one rule for every level, order, index and digit argument: a bool or
+    a non-integral value is a ValueError, an integer outside the range a
+    ResolutionExceededError.  Numpy integers and integral floats are accepted.
+    """
+    try:
+        integral = not isinstance(value, (bool, np.bool_)) and value == int(value)
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ValueError(f"{what} = {value} is not an integer")
+    n = int(value)
+    if n < lo:
+        raise ResolutionExceededError(f"{what} must be >= {lo}, got {value}")
+    if hi is not None and n > hi:
+        raise ResolutionExceededError(f"{what} {value} outside {lo}..{hi}")
+    return n
+
+
 @dataclass(frozen=True)
 class GroupContext:
     """Generating sequence m plus the derived mixed-radix scale table M."""
@@ -43,11 +64,9 @@ class GroupContext:
     M: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        gens = tuple(int(v) for v in self.m)
+        gens = tuple(_check_index(v, 2, None, "generator") for v in self.m)
         if not gens:
             raise ValueError("generator sequence must be nonempty")
-        if any(v < 2 for v in gens):
-            raise ValueError(f"every generator must be >= 2, got {gens}")
         scale = [1]
         for v in gens:
             scale.append(scale[-1] * v)
@@ -78,21 +97,15 @@ class GroupContext:
 
     def truncate(self, level: int) -> "GroupContext":
         """Context for the first ``level`` coordinates of this group."""
-        if not 1 <= level <= self.level:
-            raise ValueError(f"level must be in 1..{self.level}, got {level}")
-        return GroupContext(self.m[:level])
+        return GroupContext(self.m[:_check_index(level, 1, self.level, "level")])
 
     def zero(self) -> "GroupElement":
         return GroupElement((0,) * self.level)
 
     def unit(self, n: int) -> "GroupElement":
         """The element e_n with digit 1 at coordinate n and 0 elsewhere."""
-        if not 0 <= n < self.level:
-            raise ResolutionExceededError(
-                f"coordinate {n} outside truncation level {self.level}"
-            )
         digits = [0] * self.level
-        digits[n] = 1
+        digits[_check_index(n, 0, self.level - 1, "coordinate")] = 1
         return GroupElement(tuple(digits))
 
     def element(self, digits) -> "GroupElement":
@@ -164,9 +177,7 @@ def index_expand(ctx: GroupContext, n: int) -> IndexExpansion:
     The digits satisfy n = sum_j digits[j] * M_j exactly, and the order is
     the position of the leading nonzero digit, so M_|n| <= n < M_{|n|+1}.
     """
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
+    n = _check_index(n, 0, None, "index")
     if n >= ctx.size:
         raise ResolutionExceededError(f"index {n} >= M_N = {ctx.size}")
     digits = []
@@ -202,8 +213,7 @@ def in_interval(
     I_n(center) is the set of elements agreeing with ``center`` on the first
     n digits; I_0 is the whole group and ``center`` defaults to 0.
     """
-    if not 0 <= n <= ctx.level:
-        raise ResolutionExceededError(f"level {n} outside 0..{ctx.level}")
+    n = _check_index(n, 0, ctx.level, "level")
     _check_element(ctx, x)
     if center is None:
         center = ctx.zero()
@@ -252,7 +262,7 @@ def translate_ids(ctx: GroupContext, shift: GroupElement | int | np.ndarray) -> 
         _check_element(ctx, shift)
         sdig = np.array(shift.digits, dtype=np.int64)
     elif np.ndim(shift) == 0:
-        sdig = np.array(index_expand(ctx, int(shift)).digits, dtype=np.int64)
+        sdig = np.array(index_expand(ctx, shift).digits, dtype=np.int64)
     else:
         sdig = table[:, _checked_ids(ctx, shift)]
     perms = np.zeros(sdig.shape[1:] + (ctx.size,), dtype=np.int64)

@@ -20,7 +20,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ResolutionExceededError
-from .group import GroupContext, GroupElement, _check_element, digit_table, index_expand
+from .group import (
+    GroupContext,
+    GroupElement,
+    _check_element,
+    _check_index,
+    digit_table,
+    index_expand,
+)
 
 __all__ = [
     "unit_roots",
@@ -103,8 +110,7 @@ def _root_table(m: int, sign: int) -> np.ndarray:
 
 def rademacher(ctx: GroupContext, k: int, x: GroupElement) -> complex:
     """Generalized Rademacher value r_k(x) = exp(2*pi*i*x_k/m_k)."""
-    if not 0 <= k < ctx.level:
-        raise ResolutionExceededError(f"coordinate {k} outside 0..{ctx.level - 1}")
+    k = _check_index(k, 0, ctx.level - 1, "coordinate")
     _check_element(ctx, x)
     return complex(unit_roots(ctx.m[k])[x.digits[k]])
 
@@ -166,9 +172,7 @@ def dirichlet(ctx: GroupContext, n: int, x: GroupElement) -> complex:
     Convenience for single evaluations; bulk work should go through
     :func:`dirichlet_table`.
     """
-    n = int(n)
-    if n < 0 or n > ctx.size:
-        raise ResolutionExceededError(f"kernel index {n} outside 0..{ctx.size}")
+    n = _check_index(n, 0, ctx.size, "kernel index")
     _check_element(ctx, x)
     return complex(sum(psi(ctx, k, x) for k in range(n)))
 
@@ -179,14 +183,7 @@ def cesaro_numbers(beta: float, length: int) -> np.ndarray:
     The recurrence is a sequential ``cumprod``: a shorter table is a bit-exact
     prefix of a longer one.
     """
-    length = int(length)
-    if length < 0:
-        raise ValueError(f"table length must be nonnegative, got {length}")
-    if length > MAX_TABLE_LENGTH:
-        raise ValueError(
-            f"table length {length} exceeds the double-precision budget "
-            f"({MAX_TABLE_LENGTH})"
-        )
+    length = _check_index(length, 0, MAX_TABLE_LENGTH, "table length")
     beta = float(beta)
     if not math.isfinite(beta):
         raise ValueError(f"exponent must be finite, got {beta}")
@@ -225,10 +222,8 @@ def lemma2_check(ctx: GroupContext, s: int, n_s: int) -> np.ndarray:
     For 0 < n_s < m_s and every 0 <= j <= n_s*M_s, checks
     D_{n_s*M_s - j} = D_{n_s*M_s} - psi_{n_s*M_s - 1} * conj(D_j).
     """
-    if not 0 <= s < ctx.level:
-        raise ResolutionExceededError(f"level {s} outside 0..{ctx.level - 1}")
-    if not 0 < n_s < ctx.m[s]:
-        raise ValueError(f"digit {n_s} not in 1..{ctx.m[s] - 1}")
+    s = _check_index(s, 0, ctx.level - 1, "level")
+    n_s = _check_index(n_s, 1, ctx.m[s] - 1, "digit")
     block = n_s * ctx.M[s]
     kern = dirichlet_table(ctx)
     char = psi_values(ctx, block - 1)
@@ -244,10 +239,8 @@ def paley_check(ctx: GroupContext, level: int, digit: int) -> tuple[np.ndarray, 
     (sum_{q<digit} psi_{M_level}^q) * D_{M_level} + psi_{M_level}^digit * D_j.
     Requires 0 <= digit < m_level.
     """
-    if not 0 <= level < ctx.level:
-        raise ResolutionExceededError(f"level {level} outside 0..{ctx.level - 1}")
-    if not 0 <= digit < ctx.m[level]:
-        raise ValueError(f"digit {digit} not in 0..{ctx.m[level] - 1}")
+    level = _check_index(level, 0, ctx.level - 1, "level")
+    digit = _check_index(digit, 0, ctx.m[level] - 1, "digit")
     kern = dirichlet_table(ctx)
     step = ctx.M[level]
     base = digit * step
@@ -262,8 +255,7 @@ def paley_check(ctx: GroupContext, level: int, digit: int) -> tuple[np.ndarray, 
 
 def eq1_residual(ctx: GroupContext, k: int) -> float:
     """Max residual of D_{M_k} = M_k * indicator(I_k) on every cell."""
-    if not 0 <= k <= ctx.level:
-        raise ResolutionExceededError(f"level {k} outside 0..{ctx.level}")
+    k = _check_index(k, 0, ctx.level, "level")
     kern = dirichlet_table(ctx)
     ids = np.arange(ctx.size)
     indicator = (ids % ctx.M[k] == 0).astype(np.float64)
@@ -300,7 +292,6 @@ def eq3_residual(beta: float, length: int) -> float:
 
 def eq4_residual(alpha: float, n: int = 10_000) -> float:
     """Gap |A_n^alpha * n^(-alpha) - 1/Gamma(alpha+1)| at a single n >= 1."""
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
+    n = _check_index(n, 1, None, "order")
     value = float(cesaro_numbers(alpha, n)[n])
     return abs(value * n ** (-alpha) - 1.0 / math.gamma(alpha + 1.0))

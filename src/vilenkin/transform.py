@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResolutionExceededError
-from .group import GroupContext
+from .group import GroupContext, _check_index
 from .kernels import MAX_CELLS_1D, _check_cap, _root_table
 
 __all__ = [
@@ -149,10 +148,7 @@ def fvt_inverse_2d(grid: SpectralGrid2D) -> SampledFunction2D:
 
 def partial_sum_rect(grid: SpectralGrid2D, n1: int, n2: int) -> SampledFunction2D:
     """Rectangular partial sum S_{n1,n2}: synthesis of indices k1 < n1, k2 < n2."""
-    size = grid.ctx.size
-    for n in (n1, n2):
-        if not 0 <= n <= size:
-            raise ResolutionExceededError(f"truncation {n} outside 0..{size}")
+    n1, n2 = (_check_index(n, 0, grid.ctx.size, "truncation") for n in (n1, n2))
     masked = np.zeros_like(grid.values)
     masked[:n1, :n2] = grid.values[:n1, :n2]
     return fvt_inverse_2d(SpectralGrid2D(grid.ctx, masked))

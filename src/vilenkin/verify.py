@@ -19,8 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .approx import _axis_norms, _check_alpha, _check_p, cesaro_mean, lp_norm
-from .errors import ResolutionExceededError
-from .group import GroupContext, digit_table, index_expand
+from .group import GroupContext, _check_index, digit_table, index_expand
 from .kernels import _check_cap, cesaro_numbers, dirichlet_table, psi_values
 from .transform import (
     MAX_CELLS_2D,
@@ -94,9 +93,7 @@ class TailDecomposition:
 
 def tail_decompose(ctx: GroupContext, n: int) -> TailDecomposition:
     """Decompose 1 <= n < M_N along its nonzero mixed-radix digits."""
-    n = int(n)
-    if n == 0:
-        raise ValueError("n = 0 has no tail decomposition")
+    n = _check_index(n, 1, None, "index")
     expansion = index_expand(ctx, n)
     levels = [k for k in range(ctx.level - 1, -1, -1) if expansion.digits[k]]
     digits = [expansion.digits[k] for k in levels]
@@ -138,8 +135,8 @@ class FunctionFamily:
             raise ValueError(
                 f"{self.kind} takes {arity[self.kind]} parameter(s), got {self.params}"
             )
-        if any(v < 0 for v in self.params):
-            raise ValueError(f"{self.kind} parameters must be >= 0, got {self.params}")
+        params = tuple(_check_index(v, 0, None, f"{self.kind} parameter") for v in self.params)
+        object.__setattr__(self, "params", params)
 
     @property
     def label(self) -> str:
@@ -159,19 +156,13 @@ class FunctionFamily:
             values = np.outer(psi_values(ctx, a), psi_values(ctx, b))
         elif self.kind == "cylinder":
             (level,) = self.params
-            if not 0 <= level <= ctx.level:
-                raise ResolutionExceededError(
-                    f"cylinder level {level} outside 0..{ctx.level}"
-                )
+            _check_index(level, 0, ctx.level, "cylinder level")
             ids = np.arange(size)
             edge = (ids % ctx.M[level] == 0).astype(np.complex128)
             values = np.outer(edge, edge)
         elif self.kind == "random_poly":
             degree, seed = self.params
-            if not 1 <= degree <= size:
-                raise ResolutionExceededError(
-                    f"degree {degree} outside 1..{size}"
-                )
+            _check_index(degree, 1, size, "degree")
             rng = np.random.default_rng(seed)
             block = rng.standard_normal((degree, degree)) + 1j * rng.standard_normal(
                 (degree, degree)
@@ -207,23 +198,13 @@ def parse_family(text: str) -> FunctionFamily:
 
 def _dirichlet_rows(ctx: GroupContext, n: int) -> np.ndarray:
     """D_1..D_n on every cell, one row per kernel."""
-    if n > ctx.size:
-        raise ResolutionExceededError(f"kernel length {n} exceeds M_N = {ctx.size}")
+    n = _check_index(n, 1, ctx.size, "kernel length")
     return dirichlet_table(ctx)[1 : n + 1]
 
 
 def _kernel_weights(alpha: float, terms: int, p: int) -> np.ndarray:
     """A_{p-i}^{-alpha-1} for i = 1..terms, the weight of D_i at order p."""
     return cesaro_numbers(-_check_alpha(alpha) - 1.0, p - 1)[p - np.arange(1, terms + 1)]
-
-
-def _check_order(ctx: GroupContext, n: int) -> int:
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    if n >= ctx.size:
-        raise ResolutionExceededError(f"order {n} not below M_N = {ctx.size}")
-    return n
 
 
 def _kernel_integrals(ctx: GroupContext, coeffs: np.ndarray) -> tuple[float, float]:
@@ -267,17 +248,8 @@ def lemma4_values(
     ctx: GroupContext, alpha: float, k: int, p_values: Sequence[int]
 ) -> np.ndarray:
     """The kernel integral II at each p: sum to M_k with weights A_{p-i}^{-a-1}."""
-    if not 0 <= k <= ctx.level:
-        raise ResolutionExceededError(f"level {k} outside 0..{ctx.level}")
-    block = ctx.M[k]
-    p_list = []
-    for given in p_values:
-        if not float(given).is_integer():
-            raise ValueError(f"p = {given} is not an integer")
-        p = int(given)
-        if p < block:
-            raise ValueError(f"p = {p} below M_k = {block}")
-        p_list.append(p)
+    block = ctx.M[_check_index(k, 0, ctx.level, "level")]
+    p_list = [_check_index(p, block, None, "p") for p in p_values]
     if not p_list:
         raise ValueError("empty p range")
     out = np.empty(len(p_list), dtype=np.float64)
@@ -304,7 +276,7 @@ def lemma5_report(ctx: GroupContext, alpha: float, n: int) -> RatioReport:
     The proof bounds III by a constant per tail of n; ``tail_decompose``
     gives the tail count s, which the report does not carry.
     """
-    n = _check_order(ctx, n)
+    n = _check_index(n, 1, ctx.size - 1, "order")
     quad, _ = _kernel_integrals(ctx, _kernel_weights(alpha, n, n))
     rhs = log_factor(n)
     return RatioReport(
@@ -325,7 +297,7 @@ def eq23_profile(ctx: GroupContext, alpha: float, n: int) -> np.ndarray:
 
     Entry 0 (the zero cell) is set to 0: the decay bound concerns u != 0.
     """
-    n = _check_order(ctx, n)
+    n = _check_index(n, 1, ctx.size - 1, "order")
     alpha = float(alpha)
     line = _kernel_weights(alpha, n, n) @ _dirichlet_rows(ctx, n)
     profile = np.abs(line) * _cell_norms(ctx) ** (1.0 - alpha)
@@ -374,22 +346,12 @@ def theorem_reports(
     ctx = f.ctx
     cases = []
     for k in levels:
-        k = int(k)
-        if not 1 <= k <= ctx.level:
-            raise ResolutionExceededError(f"level {k} outside 1..{ctx.level}")
+        k = _check_index(k, 1, ctx.level, "level")
         cases.append(("theorem1", k, None, ctx.M[k], 1.0))
     for n in orders:
-        n = int(n)
-        if n < 2:
-            raise ValueError(f"order must be >= 2, got {n}")
-        if n >= ctx.size:
-            raise ResolutionExceededError(f"order {n} not below M_N = {ctx.size}")
-        k = index_expand(ctx, n).order
-        if k is None or k < 1:
-            raise ValueError(
-                f"order {n} sits below M_1 = {ctx.M[1]}; no modulus level is defined"
-            )
-        cases.append(("theorem2", k, n, n, log_factor(n)))
+        # from M_1 = m_0 >= 2 on, an order has a modulus level |n| >= 1
+        n = _check_index(n, ctx.M[1], ctx.size - 1, "order")
+        cases.append(("theorem2", index_expand(ctx, n).order, n, n, log_factor(n)))
     alphas = [_check_alpha(a) for a in alphas]
     ps = [_check_p(p) for p in ps]
     if not (cases and alphas and ps):
