@@ -5,6 +5,8 @@ in the spectral domain: a coefficient at (k1, k2) survives in S_{j,j} for
 every j > max(k1, k2), so its net multiplier telescopes to
 A_{n-1-max}^{-alpha} / A_{n-1}^{-alpha}.  One synthesis replaces the n-term
 average; the literal S_{j,j} sum is kept in the test layer as an oracle.
+The multiplier is built on the n x n band only, and the synthesis runs on
+the period grid of the smallest scale M_j >= n and is tiled back.
 
 Moduli of continuity are exact: a shift inside I_n permutes level-N cells,
 and sampled functions are constant on cells, so the supremum over I_n is the
@@ -30,7 +32,13 @@ import numpy as np
 
 from .group import GroupContext, _check_index, _negate_ids, translate_ids
 from .kernels import cesaro_numbers
-from .transform import SampledFunction2D, SpectralGrid2D, fvt_forward_2d, fvt_inverse_2d
+from .transform import (
+    SampledFunction2D,
+    SpectralGrid2D,
+    _band_synthesis,
+    fvt_forward_2d,
+    fvt_inverse_2d,
+)
 
 __all__ = [
     "ModulusReport",
@@ -118,12 +126,11 @@ def cesaro_weights(n: int, alpha: float) -> np.ndarray:
 
 def cesaro_mean(grid: SpectralGrid2D, n: int, alpha: float) -> SampledFunction2D:
     """The (C,-alpha) mean of the quadratic partial sums, via one synthesis."""
-    size = grid.ctx.size
-    n = _check_index(n, 1, size, "mean order")
+    n = _check_index(n, 1, grid.ctx.size, "mean order")
     weights = cesaro_weights(n, alpha)
-    idx = np.maximum.outer(np.arange(size), np.arange(size))
-    multiplier = np.where(idx < n, weights[np.minimum(idx, n - 1)], 0.0)
-    return fvt_inverse_2d(SpectralGrid2D(grid.ctx, grid.values * multiplier))
+    band = np.arange(n)
+    multiplier = weights[np.maximum.outer(band, band)]
+    return _band_synthesis(grid.ctx, grid.values[:n, :n] * multiplier)
 
 
 def shift_representatives(ctx: GroupContext, level: int) -> np.ndarray:

@@ -10,6 +10,7 @@ library an exact finite sum over the M_N level-N cells.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -110,9 +111,17 @@ class GroupContext:
 
     def element(self, digits) -> "GroupElement":
         """Validated element from an iterable of digits."""
-        x = GroupElement(tuple(int(d) for d in digits))
-        _check_element(self, x)
-        return x
+        return GroupElement(_check_element(self, GroupElement(tuple(digits))))
+
+
+def _band_level(ctx: GroupContext, n: int) -> int:
+    """The smallest level j with M_j >= n, for a band limit n in 0..M_N.
+
+    Characters psi_k with k < M_j depend on a cell id only mod M_j, because
+    cell ids put digit 0 lowest; so anything built from indices below n has
+    period M_j and is fixed by its values on the first M_j cells.
+    """
+    return bisect_left(ctx.M, _check_index(n, 0, ctx.size, "band limit"))
 
 
 @dataclass(frozen=True)
@@ -135,14 +144,24 @@ class IndexExpansion:
     order: int | None
 
 
-def _check_element(ctx: GroupContext, x: GroupElement) -> None:
+def _check_digit(d, k: int, mk: int) -> int:
+    """Digit ``d`` at coordinate k as an int in 0..mk-1.
+
+    A bool, a non-integral or an out-of-range digit is an InvalidElementError.
+    """
+    try:
+        return _check_index(d, 0, mk - 1, "digit")
+    except ValueError as exc:
+        raise InvalidElementError(f"coordinate {k}: {exc}") from exc
+
+
+def _check_element(ctx: GroupContext, x: GroupElement) -> tuple[int, ...]:
+    """The digits of ``x`` as ints, once each has passed :func:`_check_digit`."""
     if len(x.digits) != ctx.level:
         raise InvalidElementError(
             f"element has {len(x.digits)} digits, expected {ctx.level}"
         )
-    for k, (d, mk) in enumerate(zip(x.digits, ctx.m)):
-        if not 0 <= d < mk:
-            raise InvalidElementError(f"digit {d} at coordinate {k} not in 0..{mk - 1}")
+    return tuple(_check_digit(d, k, mk) for k, (d, mk) in enumerate(zip(x.digits, ctx.m)))
 
 
 def add(ctx: GroupContext, x: GroupElement, y: GroupElement) -> GroupElement:
@@ -190,10 +209,11 @@ def index_expand(ctx: GroupContext, n: int) -> IndexExpansion:
 
 
 def index_compose(ctx: GroupContext, digits) -> int:
-    """Inverse of :func:`index_expand`: sum of digits[j] * M_j."""
-    digits = tuple(int(d) for d in digits)
-    if len(digits) != ctx.level:
-        raise ValueError(f"expected {ctx.level} digits, got {len(digits)}")
+    """Inverse of :func:`index_expand`: sum of digits[j] * M_j.
+
+    The digits are checked as an element's, so each must lie in 0..m_j - 1.
+    """
+    digits = _check_element(ctx, GroupElement(tuple(digits)))
     return sum(d * Mk for d, Mk in zip(digits, ctx.M))
 
 
@@ -224,7 +244,6 @@ def in_interval(
 
 def cell_id(ctx: GroupContext, x: GroupElement) -> int:
     """Canonical id of the level-N cell of x."""
-    _check_element(ctx, x)
     return index_compose(ctx, x.digits)
 
 

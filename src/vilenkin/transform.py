@@ -10,6 +10,14 @@ pass is needed.  Each stage contracts the leading axis of a contiguous copy,
 so all the other axes form einsum's inner loop.  Two-dimensional grids are
 transformed axis by axis, and their results are column-major: norms reduce
 in memory order, and the last bits of reported values depend on it.
+
+A spectrum that vanishes outside its leading n x n block has period M_j in
+both variables, M_j the smallest scale >= n, since characters below M_j see
+only the low j digits of a cell id.  Such a spectrum is synthesised on the
+M_j x M_j grid of ``ctx.truncate(j)`` and tiled back: partial sums, Cesaro
+means and ``random_poly`` families pay for M_j^2 cells, not M_N^2.  The tile
+is made column-major, so the tiled grid has the full synthesis's layout as
+well as its bits.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GroupContext, _check_index
+from .group import GroupContext, _band_level, _check_index
 from .kernels import MAX_CELLS_1D, _check_cap, _root_table
 
 __all__ = [
@@ -146,12 +154,33 @@ def fvt_inverse_2d(grid: SpectralGrid2D) -> SampledFunction2D:
     return SampledFunction2D(grid.ctx, _decimate_2d(grid.ctx, grid.values, 1))
 
 
+def _band_synthesis(ctx: GroupContext, coeffs: np.ndarray) -> SampledFunction2D:
+    """Synthesis of a spectrum that is ``coeffs`` at the low corner and 0 elsewhere.
+
+    With n the larger side of ``coeffs`` and M_j the smallest scale >= n, the
+    result has period M_j in both variables: it is synthesised on the M_j x M_j
+    grid of ``ctx.truncate(j)`` and tiled back.  The sums are bit for bit
+    those of the full grid, since the stages of digits t >= j see only index
+    digit 0 and pass each value through times 1.  The full grid is used when
+    j = 0, which has no truncated group, or j = N.
+    """
+    j = _band_level(ctx, max(coeffs.shape))
+    sub = ctx if j in (0, ctx.level) else ctx.truncate(j)
+    padded = np.zeros((sub.size, sub.size), dtype=np.complex128)
+    padded[: coeffs.shape[0], : coeffs.shape[1]] = coeffs
+    out = fvt_inverse_2d(SpectralGrid2D(sub, padded))
+    if sub is ctx:
+        return out
+    reps = ctx.size // sub.size
+    # Column-major like the full synthesis, as norms reduce in memory order: the
+    # transpose of the column-major result is row-major, and so is its tile.
+    return SampledFunction2D(ctx, np.tile(out.values.T, (reps, reps)).T)
+
+
 def partial_sum_rect(grid: SpectralGrid2D, n1: int, n2: int) -> SampledFunction2D:
     """Rectangular partial sum S_{n1,n2}: synthesis of indices k1 < n1, k2 < n2."""
     n1, n2 = (_check_index(n, 0, grid.ctx.size, "truncation") for n in (n1, n2))
-    masked = np.zeros_like(grid.values)
-    masked[:n1, :n2] = grid.values[:n1, :n2]
-    return fvt_inverse_2d(SpectralGrid2D(grid.ctx, masked))
+    return _band_synthesis(grid.ctx, grid.values[:n1, :n2])
 
 
 def marginal_partial_sum(grid: SpectralGrid2D, axis: int, n: int) -> SampledFunction2D:

@@ -19,14 +19,13 @@ from typing import Sequence
 import numpy as np
 
 from .approx import _axis_norms, _check_alpha, _check_p, cesaro_mean, lp_norm
-from .group import GroupContext, _check_index, digit_table, index_expand
+from .group import GroupContext, _band_level, _check_index, digit_table, index_expand
 from .kernels import _check_cap, cesaro_numbers, dirichlet_table, psi_values
 from .transform import (
     MAX_CELLS_2D,
     SampledFunction2D,
-    SpectralGrid2D,
+    _band_synthesis,
     fvt_forward_2d,
-    fvt_inverse_2d,
 )
 
 __all__ = [
@@ -167,9 +166,7 @@ class FunctionFamily:
             block = rng.standard_normal((degree, degree)) + 1j * rng.standard_normal(
                 (degree, degree)
             )
-            coeffs = np.zeros((size, size), dtype=np.complex128)
-            coeffs[:degree, :degree] = block
-            return fvt_inverse_2d(SpectralGrid2D(ctx, coeffs))
+            return _band_synthesis(ctx, block)
         else:
             (seed,) = self.params
             rng = np.random.default_rng(seed)
@@ -214,7 +211,7 @@ def _kernel_integrals(ctx: GroupContext, coeffs: np.ndarray) -> tuple[float, flo
     cell id only mod M_k, so the products cover one period and are tiled back
     to the full grid before the mean, which then sums in the full-grid order.
     """
-    period = next((Mk for Mk in ctx.M if Mk >= len(coeffs)), ctx.size)
+    period = ctx.M[_band_level(ctx, len(coeffs))]
     reps = ctx.size // period
     rows = _dirichlet_rows(ctx, len(coeffs))[:, :period]
     weighted = coeffs[:, None] * rows

@@ -15,7 +15,7 @@ import numpy as np
 
 from vilenkin.group import GroupContext, add, cell_enumerate, cell_id, in_interval
 from vilenkin.kernels import cesaro_numbers, character_table, dirichlet
-from vilenkin.transform import SpectralGrid2D, partial_sum_rect
+from vilenkin.transform import SpectralGrid2D, fvt_inverse_2d, partial_sum_rect
 
 
 def naive_forward_1d(ctx: GroupContext, values: np.ndarray) -> np.ndarray:
@@ -27,6 +27,17 @@ def naive_forward_1d(ctx: GroupContext, values: np.ndarray) -> np.ndarray:
 def naive_forward_2d(ctx: GroupContext, values: np.ndarray) -> np.ndarray:
     chars = character_table(ctx)
     return chars.conj() @ values @ chars.conj().T / ctx.size**2
+
+
+def full_grid_synthesis(ctx: GroupContext, coeffs: np.ndarray) -> np.ndarray:
+    """Synthesis of ``coeffs`` zero-padded to the full M_N x M_N spectrum.
+
+    The library synthesises a band-limited spectrum on its period grid and
+    tiles it back; this is the full-grid transform that must give its bits.
+    """
+    padded = np.zeros((ctx.size, ctx.size), dtype=np.complex128)
+    padded[: coeffs.shape[0], : coeffs.shape[1]] = coeffs
+    return fvt_inverse_2d(SpectralGrid2D(ctx, padded)).values
 
 
 def naive_inverse_1d(ctx: GroupContext, coeffs: np.ndarray) -> np.ndarray:

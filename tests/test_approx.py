@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import random_grid_2d
-from oracles import brute_modulus, direct_cesaro_mean, direct_cesaro_weights
+from oracles import brute_modulus, direct_cesaro_mean, direct_cesaro_weights, full_grid_synthesis
 from vilenkin import (
     GroupContext,
     ResolutionExceededError,
     SampledFunction2D,
+    SpectralGrid2D,
     cesaro_mean,
     cesaro_weights,
     fvt_forward_2d,
@@ -161,6 +162,27 @@ class TestCesaroMean:
         lhs = cesaro_mean(fvt_forward_2d(shifted), 9, 0.5).values
         rhs = cesaro_mean(fvt_forward_2d(f), 9, 0.5).values[np.ix_(pu, pv)]
         assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+    @pytest.mark.parametrize("m", [(2,) * 6, (2, 3, 2, 3), (5, 7)])
+    def test_band_synthesis_bit_identical_to_full_grid(self, m):
+        # sigma_n is synthesised on the period grid of M_j >= n and tiled back;
+        # the constant spectrum sums roots of unity to exact zeros.
+        ctx = GroupContext(m)
+        size = ctx.size
+        rng = np.random.default_rng(size)
+        spectra = (
+            rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)),
+            np.full((size, size), 1 - 3.7j),
+        )
+        idx = np.maximum.outer(np.arange(size), np.arange(size))
+        for values in spectra:
+            grid = SpectralGrid2D(ctx, values)
+            for n in range(1, size + 1):
+                weights = cesaro_weights(n, 0.3)
+                multiplier = np.where(idx < n, weights[np.minimum(idx, n - 1)], 0.0)
+                out = cesaro_mean(grid, n, 0.3).values
+                assert out.flags.f_contiguous
+                assert np.array_equal(out, full_grid_synthesis(ctx, values * multiplier))
 
     def test_parameter_validation(self, ctx232):
         grid = fvt_forward_2d(random_grid_2d(ctx232, 1))

@@ -20,7 +20,7 @@ from vilenkin import (
     norm_map,
     sub,
 )
-from vilenkin.group import _negate_ids, digit_table, translate_ids
+from vilenkin.group import _band_level, _check_element, _negate_ids, digit_table, translate_ids
 
 
 class TestContext:
@@ -61,6 +61,16 @@ class TestContext:
         assert ctx.unit(1).digits == (0, 1, 0)
         with pytest.raises(ResolutionExceededError):
             ctx.unit(3)
+
+    @pytest.mark.parametrize("m", [(2,) * 6, (2, 3, 2, 3), (5, 7)])
+    def test_band_level_is_smallest_covering_scale(self, m):
+        ctx = GroupContext(m)
+        for n in range(ctx.size + 1):
+            j = _band_level(ctx, n)
+            assert ctx.M[j] >= n
+            assert j == 0 or ctx.M[j - 1] < n
+        with pytest.raises(ResolutionExceededError):
+            _band_level(ctx, ctx.size + 1)
 
 
 class TestArithmetic:
@@ -110,6 +120,21 @@ class TestArithmetic:
         with pytest.raises(InvalidElementError):
             ctx23.element((0, -1))
 
+    def test_element_digits_are_not_truncated(self, ctx23):
+        with pytest.raises(InvalidElementError, match="not an integer"):
+            ctx23.element((1.5, 2.9))
+        assert ctx23.element((np.int64(1), 2.0)).digits == (1, 2)
+
+    def test_non_integral_digit_rejected_before_use(self, ctx23):
+        # norm_map would read 1.5 as is while translate_ids truncated it to 1
+        x = GroupElement((1.5, 0))
+        with pytest.raises(InvalidElementError):
+            _check_element(ctx23, x)
+        with pytest.raises(InvalidElementError):
+            norm_map(ctx23, x)
+        with pytest.raises(InvalidElementError):
+            translate_ids(ctx23, x)
+
 
 class TestIndexExpansion:
     def test_example(self):
@@ -139,6 +164,17 @@ class TestIndexExpansion:
         ctx = GroupContext(m)
         for n in range(ctx.size):
             assert index_compose(ctx, index_expand(ctx, n).digits) == n
+
+    def test_compose_checks_each_digit(self, ctx23):
+        with pytest.raises(InvalidElementError, match="not an integer"):
+            index_compose(ctx23, (1.7, True))
+        with pytest.raises(InvalidElementError, match="not an integer"):
+            index_compose(ctx23, (1, True))
+        with pytest.raises(InvalidElementError, match="outside"):
+            index_compose(ctx23, (5, 7))
+        with pytest.raises(InvalidElementError, match="outside"):
+            index_compose(ctx23, (1, 3))
+        assert index_compose(ctx23, (1, 2)) == 5
 
     def test_resolution_error(self, ctx23):
         with pytest.raises(ResolutionExceededError):

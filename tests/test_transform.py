@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_grid_2d, random_vector
-from oracles import block_average, naive_forward_1d, naive_forward_2d
+from oracles import block_average, full_grid_synthesis, naive_forward_1d, naive_forward_2d
 from vilenkin import (
     GroupContext,
     ResolutionExceededError,
@@ -177,6 +177,17 @@ class TestPartialSums:
             projected = partial_sum_rect(grid, Mk, Mk)
             expected = block_average(ctx2323, f.values, k)
             assert np.max(np.abs(projected.values - expected)) < 1e-10
+
+    def test_band_synthesis_bit_identical_to_full_grid(self, ctx2323):
+        # The period comes from max(n1, n2); n1 = 0 or n2 = 0 gives exact zeros.
+        size = ctx2323.size
+        grid = fvt_forward_2d(random_grid_2d(ctx2323, 7))
+        for n1 in range(size + 1):
+            for n2 in range(size + 1):
+                out = partial_sum_rect(grid, n1, n2).values
+                expected = full_grid_synthesis(ctx2323, grid.values[:n1, :n2])
+                assert out.flags.f_contiguous
+                assert np.array_equal(out, expected)
 
     def test_truncation_bounds(self, ctx232):
         grid = fvt_forward_2d(random_grid_2d(ctx232, 1))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_grid_2d
-from oracles import pointwise_lemma4_values
+from oracles import full_grid_synthesis, pointwise_lemma4_values
 from vilenkin import (
     GroupContext,
     ResolutionExceededError,
@@ -486,6 +486,18 @@ class TestFunctionFamilies:
         coeffs = fvt_forward_2d(f).values
         assert np.max(np.abs(coeffs[4:, :])) < 1e-12
         assert np.max(np.abs(coeffs[:, 4:])) < 1e-12
+
+    @pytest.mark.parametrize("m", [(2,) * 6, (2, 3, 2, 3)])
+    def test_random_poly_band_synthesis_bit_identical(self, m):
+        ctx = GroupContext(m)
+        for degree in (1, ctx.M[1], ctx.M[2], ctx.size):
+            rng = np.random.default_rng(4)
+            block = rng.standard_normal((degree, degree)) + 1j * rng.standard_normal(
+                (degree, degree)
+            )
+            f = FunctionFamily("random_poly", (degree, 4)).build(ctx)
+            assert f.values.flags.f_contiguous
+            assert np.array_equal(f.values, full_grid_synthesis(ctx, block))
 
     def test_build_validation(self, ctx23):
         with pytest.raises(ResolutionExceededError):
