@@ -14,16 +14,16 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache, partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .approx import _check_alpha, _check_p
 from .errors import ResolutionExceededError
-from .group import GroupContext
+from .group import GroupContext, _check_index
 from .kernels import (
     eq1_residual,
     eq2_residual,
@@ -68,83 +68,14 @@ class ConfigError(ValueError):
     """A configuration document or flag set failed validation."""
 
 
-@dataclass
-class RunConfig:
-    m: tuple[int, ...] = (2, 3, 2, 3)
-    level: int | None = None
-    alpha: tuple[float, ...] = (0.1, 0.5, 0.9)
-    p: tuple[float, ...] = (1.0, 2.0, math.inf)
-    claims: tuple[str, ...] = CLAIMS
-    families: tuple[str, ...] | None = None
-    out: str = "vilenkin-report.csv"
-    jobs: int = 1
-    cap_file: str | None = None
-
-    def context(self) -> GroupContext:
-        try:
-            ctx = GroupContext(self.m)
-        except ValueError as exc:
-            raise ConfigError(f"field 'm': {exc}") from exc
-        if self.level is None:
-            return ctx
-        try:
-            return ctx.truncate(self.level)
-        except ValueError as exc:
-            raise ConfigError(f"field 'level': {exc}") from exc
-
-    def validate(self) -> None:
-        self.context()
-        for name, check in (("alpha", _check_alpha), ("p", _check_p)):
-            values = getattr(self, name)
-            try:
-                for value in values:
-                    check(value)
-            except ValueError as exc:
-                raise ConfigError(f"field {name!r}: {exc}") from exc
-            if not values:
-                raise ConfigError(f"field {name!r}: empty list")
-        for claim in self.claims:
-            if claim not in CLAIMS:
-                raise ConfigError(f"field 'claims': unknown claim {claim!r}")
-        if not self.claims:
-            raise ConfigError("field 'claims': empty list")
-        if self.families is not None:
-            for spec in self.families:
-                try:
-                    parse_family(spec)
-                except ValueError as exc:
-                    raise ConfigError(f"field 'families': {exc}") from exc
-        if self.jobs < 1:
-            raise ConfigError(f"field 'jobs': must be >= 1, got {self.jobs}")
-
-
-def _parse_m(value) -> tuple[int, ...]:
-    if isinstance(value, str):
-        return GroupContext.from_string(value).m
-    gens = tuple(_parse_int(v) for v in value)
-    if not gens:
-        raise ValueError("empty generator sequence")
-    return gens
-
-
 def _parse_int(value) -> int:
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _parse_floats(value) -> tuple[float, ...]:
-    if isinstance(value, str):
-        value = [tok.strip() for tok in value.split(",") if tok.strip()]
-    out = []
-    for tok in value:
-        if isinstance(tok, bool):
-            raise ValueError(f"bad value {tok!r}")
+    """An integer, an integral float or a decimal string, as an int."""
+    if not isinstance(value, bool) and (not isinstance(value, float) or value.is_integer()):
         try:
-            out.append(float(tok))  # also reads "inf" and "infinity"
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"bad value {tok!r}") from exc
-    return tuple(out)
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"expected an integer, got {value!r}")
 
 
 def _split_outside_parens(text: str) -> list[str]:
@@ -166,27 +97,90 @@ def _split_outside_parens(text: str) -> list[str]:
     return [p.strip() for p in parts if p.strip()]
 
 
-def _parse_strings(value) -> tuple[str, ...]:
+def _items(value) -> Sequence:
+    """A JSON list as given, or a flag string split on commas."""
     if isinstance(value, str):
-        return tuple(_split_outside_parens(value))
+        return _split_outside_parens(value)
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"expected a list, got {value!r}")
+    return value
+
+
+def _unique(values, key: Callable) -> tuple:
+    """``key(v)`` for each item v of the list, a repeat dropped and the first kept.
+
+    A repeated value would only repeat its rows.  An empty result is refused.
+    """
+    kept = tuple(dict.fromkeys(key(v) for v in _items(values)))
+    if not kept:
+        raise ValueError("empty list")
+    return kept
+
+
+def _float(token) -> float:
+    if isinstance(token, bool):
+        raise ValueError(f"bad value {token!r}")
     try:
-        return tuple(str(tok) for tok in value)
-    except TypeError as exc:
-        raise ValueError("expected a list") from exc
+        return float(token)  # also reads "inf" and "infinity"
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad value {token!r}") from exc
 
 
-# one parser per RunConfig field
-_PARSERS: dict[str, Callable] = {
-    "m": _parse_m,
-    "level": _parse_int,
-    "alpha": _parse_floats,
-    "p": _parse_floats,
-    "claims": _parse_strings,
-    "families": _parse_strings,
-    "out": str,
-    "jobs": _parse_int,
-    "cap_file": str,
-}
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+def _claim(name) -> str:
+    if name not in CLAIMS:
+        raise ValueError(f"unknown claim {name!r}")
+    return name
+
+
+def _setting(default, parse: Callable, help: str):
+    """A RunConfig field; ``parse`` turns a JSON value or flag string into it."""
+    return field(default=default, metadata={"parse": parse, "help": help})
+
+
+@dataclass
+class RunConfig:
+    """One run's settings; each field is also the flag and JSON field of its name.
+
+    ``m`` and ``level`` are checked together by ``context``.
+    """
+
+    m: tuple[int, ...] = _setting(
+        (2, 3, 2, 3), lambda v: tuple(_parse_int(g) for g in _items(v)),
+        "comma-separated generator sequence, e.g. 2,3,2,3")
+    level: int | None = _setting(None, _parse_int, "truncation level (defaults to len(m))")
+    alpha: tuple[float, ...] = _setting(
+        (0.1, 0.5, 0.9), lambda v: _unique(v, lambda x: _check_alpha(_float(x))),
+        "comma-separated alpha list in (0,1)")
+    p: tuple[float, ...] = _setting(
+        (1.0, 2.0, math.inf), lambda v: _unique(v, lambda x: _check_p(_float(x))),
+        "comma-separated p list; tokens 1, 2, inf")
+    claims: tuple[str, ...] = _setting(
+        CLAIMS, lambda v: _unique(v, _claim), "comma-separated claim list")
+    families: tuple[str, ...] | None = _setting(
+        None, lambda v: _unique(v, lambda spec: parse_family(_string(spec)).label),
+        "comma-separated family specs")
+    out: str = _setting("vilenkin-report.csv", _string, "output path")
+    jobs: int = _setting(1, lambda v: _check_index(_parse_int(v), 1, None, "jobs"),
+                         "parallel workers")
+    cap_file: str | None = _setting(None, _string, "JSON ratio caps per claim/alpha")
+
+    def context(self) -> GroupContext:
+        try:
+            ctx = GroupContext(self.m)
+        except ValueError as exc:
+            raise ConfigError(f"field 'm': {exc}") from exc
+        if self.level is None:
+            return ctx
+        try:
+            return ctx.truncate(self.level)
+        except ValueError as exc:
+            raise ConfigError(f"field 'level': {exc}") from exc
 
 
 def _read_object(path: str, what: str) -> dict:
@@ -208,34 +202,28 @@ def _read_object(path: str, what: str) -> dict:
 
 def load_config(config_path: str | None, overrides: dict, *,
                 default_out: str = RunConfig.out) -> RunConfig:
-    """A validated RunConfig: defaults, then the JSON document, then the flags.
+    """A checked RunConfig: defaults, then the JSON document, then the flags.
 
     A value of None (a flag not given, or a JSON null) keeps what is below it.
     ``default_out`` is the output path when neither the document nor the
     flags give one.
     """
     doc = {} if config_path is None else _read_object(config_path, "config")
+    settings = {f.name: f for f in fields(RunConfig)}
     for key in doc:
-        if key not in _PARSERS:
+        if key not in settings:
             raise ConfigError(f"config {config_path}: unknown field {key!r}")
     given = {**doc, **{k: v for k, v in overrides.items() if v is not None}}
-    cfg = RunConfig(out=default_out)
+    values = {"out": default_out}
     for name, value in given.items():
         if value is None:
             continue
         try:
-            setattr(cfg, name, _PARSERS[name](value))
+            values[name] = settings[name].metadata["parse"](value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"field {name!r}: {exc}") from exc
-    cfg.validate()
-    # a repeated value would only repeat its rows; keep the first occurrence
-    cfg.alpha = tuple(dict.fromkeys(cfg.alpha))
-    cfg.p = tuple(dict.fromkeys(cfg.p))
-    if cfg.families is not None:
-        first: dict[str, str] = {}
-        for spec in cfg.families:
-            first.setdefault(parse_family(spec).label, spec)
-        cfg.families = tuple(first.values())
+    cfg = RunConfig(**values)
+    cfg.context()
     return cfg
 
 
@@ -259,12 +247,16 @@ def _sort_key(row: RatioReport) -> tuple:
                  for v in (row.claim, row.family, row.seed, row.alpha, row.p, row.k, row.n))
 
 
-def _write_rows(path: str, rows: Sequence[RatioReport]) -> None:
+def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(getattr(row, col)) for col in CSV_COLUMNS])
+        writer.writerow(header)
+        writer.writerows([_fmt(value) for value in row] for row in rows)
+
+
+def _max_keeping_nan(values: Sequence[float]) -> float:
+    """The max of ``values``, or NaN if one is NaN (max() drops a NaN not first)."""
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +416,7 @@ def summarize(cfg: RunConfig, rows: Sequence[RatioReport]) -> dict:
                 if r.ratio is not None and (r.alpha is None or r.alpha == alpha)
             ]
             if matching:
-                # max() drops a NaN that is not first; keep it so the cap gate sees it
-                nan = any(math.isnan(v) for v in matching)
-                per_alpha[_fmt(alpha)] = math.nan if nan else max(matching)
+                per_alpha[_fmt(alpha)] = _max_keeping_nan(matching)
         summary[claim] = per_alpha
     summary["system"] = "dyadic" if all(v == 2 for v in cfg.context().m) else "vilenkin"
     return summary
@@ -543,20 +533,13 @@ def identity_checks(cfg: RunConfig, ctx: GroupContext) -> list[tuple[str, str, f
 def cmd_check_identities(cfg: RunConfig) -> int:
     ctx = cfg.context()
     checks = identity_checks(cfg, ctx)
-    failures = 0
-    with open(cfg.out, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(("check", "params", "residual", "tolerance", "status"))
-        for name, params, residual, tol in checks:
-            ok = residual <= tol
-            failures += 0 if ok else 1
-            writer.writerow((name, params, _fmt(residual), _fmt(tol),
-                             "pass" if ok else "FAIL"))
-    worst: dict[str, float] = {}
-    for name, _, residual, _ in checks:
-        worst[name] = max(worst.get(name, 0.0), residual)
-    for name in sorted(worst):
-        print(f"{name}: max residual {worst[name]:.3e}")
+    rows = [(name, params, residual, tol, "pass" if residual <= tol else "FAIL")
+            for name, params, residual, tol in checks]
+    _write_csv(cfg.out, ("check", "params", "residual", "tolerance", "status"), rows)
+    failures = sum(row[-1] == "FAIL" for row in rows)
+    for name in sorted({check[0] for check in checks}):
+        worst = _max_keeping_nan([check[2] for check in checks if check[0] == name])
+        print(f"{name}: max residual {worst:.3e}")
     print(f"{len(checks)} checks, {failures} failures -> {cfg.out}")
     return 0 if failures == 0 else 1
 
@@ -565,7 +548,7 @@ def cmd_verify(cfg: RunConfig, write_summary: bool = False) -> int:
     """Write the report rows, and with ``write_summary`` their summary; gate caps."""
     caps = _load_caps(cfg.cap_file)
     rows = compute_rows(cfg)
-    _write_rows(cfg.out, rows)
+    _write_csv(cfg.out, CSV_COLUMNS, ([getattr(r, col) for col in CSV_COLUMNS] for r in rows))
     errored = sum(1 for r in rows if r.error)
     print(f"{len(rows)} rows ({errored} errored) -> {cfg.out}")
     summary = summarize(cfg, rows)
@@ -583,15 +566,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON configuration file")
-    parser.add_argument("--m", help="comma-separated generator sequence, e.g. 2,3,2,3")
-    parser.add_argument("--level", type=int, help="truncation level (defaults to len(m))")
-    parser.add_argument("--alpha", help="comma-separated alpha list in (0,1)")
-    parser.add_argument("--p", help="comma-separated p list; tokens 1, 2, inf")
-    parser.add_argument("--claims", help="comma-separated claim list")
-    parser.add_argument("--families", help="comma-separated family specs")
-    parser.add_argument("--out", help="output path")
-    parser.add_argument("--jobs", type=int, help="parallel workers")
-    parser.add_argument("--cap-file", dest="cap_file", help="JSON ratio caps per claim/alpha")
+    for setting in fields(RunConfig):
+        parser.add_argument("--" + setting.name.replace("_", "-"), dest=setting.name,
+                            help=setting.metadata["help"])
 
 
 def main(argv: Sequence[str] | None = None) -> int:

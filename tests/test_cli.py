@@ -29,7 +29,7 @@ def read_rows(path):
 
 class TestConfig:
     def test_defaults_valid(self):
-        RunConfig().validate()
+        assert load_config(None, {}) == RunConfig()
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ConfigError, match="alpha"):
@@ -200,6 +200,47 @@ class TestConfig:
         with pytest.raises(ConfigError, match="mystery"):
             load_config(str(doc), {})
 
+    # a list field is converted, checked and stripped of repeats (the first
+    # kept), and must keep one value; paths must be strings
+    @pytest.mark.parametrize("command, doc, flags, error, stored", (
+        ("verify", {"alpha": []}, [], "field 'alpha': empty list", None),
+        ("verify", {"p": []}, [], "field 'p': empty list", None),
+        ("verify", {"claims": []}, [], "field 'claims': empty list", None),
+        ("verify", {"families": []}, [], "field 'families': empty list", None),
+        ("verify", {}, ["--families", ","], "field 'families': empty list", None),
+        ("verify", {}, ["--alpha", " , "], "field 'alpha': empty list", None),
+        ("check-identities", {"out": ["a.csv"]}, [],
+         "field 'out': expected a string, got ['a.csv']", None),
+        ("verify", {"cap_file": 3}, [], "field 'cap_file': expected a string, got 3", None),
+        ("verify", {}, ["--level", "2.5"], "field 'level': expected an integer, got '2.5'",
+         None),
+        ("verify", {}, ["--jobs", "x"], "field 'jobs': expected an integer, got 'x'", None),
+        ("verify", {"alpha": [0.5, 0.25, 0.5]}, [], None, ("alpha", (0.5, 0.25))),
+        ("verify", {}, ["--p", "2,inf,2.0,infinity"], None, ("p", (2.0, math.inf))),
+        ("verify", {}, ["--claims", "lemma5,eq23,lemma5"], None,
+         ("claims", ("lemma5", "eq23"))),
+        ("verify", {"families": ["character(1, 1)", "character(1,1)"]}, [], None,
+         ("families", ("character(1,1)",))),
+        ("verify", {}, ["--families", "character(1, 1)"], None,
+         ("families", ("character(1,1)",))),
+    ))
+    def test_list_and_path_rule(self, tmp_path, monkeypatch, capsys,
+                                command, doc, flags, error, stored):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"m": [2, 3], "alpha": [0.5], "p": [2],
+                                    "claims": ["lemma5"], **doc}), encoding="utf-8")
+        if error is not None:
+            assert main([command, "--config", str(path), *flags]) == 2
+            assert f"configuration error: {error}" in capsys.readouterr().err
+            assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+            return
+        seen = []
+        monkeypatch.setattr(cli, "cmd_verify", lambda cfg: seen.append(cfg) or 0)
+        assert main([command, "--config", str(path), *flags]) == 0
+        name, value = stored
+        assert getattr(seen[0], name) == value
+
 
 class TestCheckIdentities:
     def test_default_group_passes(self, tmp_path, capsys):
@@ -216,6 +257,18 @@ class TestCheckIdentities:
     def test_config_error_exit_code(self, tmp_path):
         assert main(["check-identities", "--alpha", "1.0"]) == 2
         assert main(["check-identities", "--m", ""]) == 2
+
+    def test_nan_residual_shows_in_printed_max(self, tmp_path, monkeypatch, capsys):
+        exact = cli.eq1_residual
+        monkeypatch.setattr(cli, "eq1_residual",
+                            lambda ctx, k: math.nan if k == 1 else exact(ctx, k))
+        out = tmp_path / "ids.csv"
+        assert main(["check-identities", "--m", "2,3", "--alpha", "0.5",
+                     "--out", str(out)]) == 1
+        eq1 = {r["params"]: (r["residual"], r["status"])
+               for r in read_rows(out) if r["check"] == "eq1"}
+        assert eq1["k=1"] == ("nan", "FAIL")
+        assert "eq1: max residual nan\n" in capsys.readouterr().out
 
     def test_level_flag_truncates_group(self, tmp_path):
         out = tmp_path / "ids.csv"
