@@ -15,12 +15,19 @@ maximum over the M_N/M_n cells of I_n, the multiples of M_n.  One
 single-shift kinds form each shifted difference once and reduce it for every
 p; since I_r holds every M_r-th shift of I_0, one level-0 table of these
 norms gives every level.  The double-shift kinds (``omega12``, ``total``)
-loop over row shifts only and gather the column shifts in blocks of bounded
-size.  At p = 2 they enumerate no shift: by Plancherel,
+enumerate no column shift at p = inf or p = 2.  At p = inf the maximum over
+shifts and cells is the largest distance between two values of one coset:
+of I_r x I_r in f for ``total``, and of I_level2 in a row of the row
+difference for ``omega12``.  A farthest-pair search pairs only the points
+that the triangle inequality cannot rule out, and takes the same
+abs(a - b) as a full enumeration, so the maximum keeps its bits.  At
+p = 2, by Plancherel,
 
     ||tau_(u,v) f - f||_2^2 = sum_k |f_hat(k)|^2 |psi_k1(u) psi_k2(v) - 1|^2,
 
 so one inverse transform of the power spectrum gives every shift's norm.
+At other p they loop over row shifts and gather the column shifts in blocks
+of bounded size.
 """
 
 from __future__ import annotations
@@ -64,7 +71,8 @@ def _lp_mags(mags: np.ndarray, p: float, axis=None):
         out = np.max(mags, axis=axis)
     else:
         with np.errstate(over="ignore"):
-            power_mean = np.mean(mags**p, axis=axis)
+            # x**1 == x, so p = 1 reduces the magnitudes without a copy
+            power_mean = np.mean(mags if p == 1.0 else mags**p, axis=axis)
         out = power_mean ** (1.0 / p)
         lo = hi = power_mean
         if axis is not None:
@@ -206,25 +214,92 @@ def _plancherel_modulus(f: SampledFunction2D, kind: str, level: int, level2: int
     return math.sqrt(max(float(sq.max()), 0.0)) * scale
 
 
-# Complex entries per gathered block of column shifts (one shift per block
-# once a single grid is larger).
+# Complex entries per gathered block of column shifts or of point pairs (one
+# shift, or one point against its whole set, per block once a grid is larger).
 _BLOCK_ENTRIES = 2**14
+# Relative slack on the pruning bound of ``_max_pair_distance``: far above the
+# few ulps by which computed centroid and pair distances can be off.
+_PRUNE_SLACK = 2.0**-40
+
+
+def _max_pair_distance(sets: np.ndarray, floor: float = 0.0) -> float:
+    """Largest abs(a - b) over pairs of points in one row of ``sets``, or ``floor``.
+
+    A farthest-pair search that forms few pairs.  The point farthest from
+    its set's centroid, against its own set, gives real pair distances, and
+    their maximum L is a lower bound of the answer.  A pair within a set is
+    at most r_a + rho apart, with r_a the centroid distance of a and rho
+    the set's largest, so only points with r >= L - rho can exceed L; the
+    bound carries a relative slack for rounding and an absolute one for
+    subnormals.  The kept points of each set are paired in blocks of at
+    most ``_BLOCK_ENTRIES`` entries, one point against its set once a set
+    is larger.  Every pair is evaluated as abs(a - b), so the maximum has
+    the bits of enumerating all pairs.  A non-finite centroid, radius or
+    bound compares false and keeps the whole set.  The points are finite,
+    so a pair distance is finite or inf, and an inf is returned at once.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        radius = np.abs(sets - sets.mean(axis=1, keepdims=True))
+        rows = np.arange(len(sets))
+        far = np.argmax(radius, axis=1)
+        rho = radius[rows, far]
+        best = max(floor, float(np.abs(sets - sets[rows, far][:, None]).max()))
+        if best == math.inf:
+            return best
+        bound = best * (1.0 - _PRUNE_SLACK) - rho * (1.0 + _PRUNE_SLACK) - _TINY
+        keep = ~(radius < bound[:, None])
+    counts = keep.sum(axis=1)
+    order = np.argsort(-counts, kind="stable")
+    order = order[counts[order] > 1]
+    start = 0
+    while start < len(order):
+        # the sets are sorted by count, so the first one's count fits the chunk
+        k = counts[order[start]]
+        chunk = order[start : start + max(1, _BLOCK_ENTRIES // k**2)]
+        start += len(chunk)
+        kept_first = np.argsort(~keep[chunk], axis=1, kind="stable")[:, :k]
+        points = np.take_along_axis(sets[chunk], kept_first, axis=1)
+        step = max(1, _BLOCK_ENTRIES // (len(chunk) * k))
+        for i in range(0, k, step):
+            with np.errstate(over="ignore"):
+                diff = points[:, i : i + step, None] - points[:, None, :]
+            best = max(best, float(np.abs(diff).max()))
+    return best
 
 
 def _double_shift_modulus(
     f: SampledFunction2D, kind: str, level: int, level2: int, p: float
 ) -> float:
-    """Max over (u, v) of the Lp norm of the double difference, blocked in v.
+    """Max over (u, v) of the Lp norm of the double difference.
 
-    Works on transposed grids so that a column shift is a row gather: for
-    ``total`` the difference is f(x+u, y+v) - f(x, y); for ``omega12`` it is
-    g(x, y+v) - g(x, y) with the row difference g = f(x+u, y) - f(x, y).
+    For ``total`` the difference is f(x+u, y+v) - f(x, y); for ``omega12``
+    it is g(x, y+v) - g(x, y) with the row difference g = f(x+u, y) - f(x, y).
+    At p = inf the maximum over (x, y) and the shifts is a largest distance
+    between points of one coset: of I_level x I_level in f for ``total``,
+    and of I_level2 in a row of g for ``omega12``, one batch per row shift.
+    At other p the column shifts are gathered in blocks, on transposed grids
+    so that a column shift is a row gather.
     """
     ctx = f.ctx
+    if math.isinf(p) and kind == "total":
+        A, B = ctx.M[level], ctx.size // ctx.M[level]
+        cosets = f.values.reshape(B, A, B, A).transpose(1, 3, 0, 2)
+        return _max_pair_distance(cosets.reshape(A * A, B * B))
+    best = 0.0
+    if math.isinf(p):
+        A, B = ctx.M[level2], ctx.size // ctx.M[level2]
+        for pu in translate_ids(ctx, shift_representatives(ctx, level)):
+            with np.errstate(over="ignore"):
+                rows = f.values[pu, :] - f.values
+            if not np.isfinite(rows).all():
+                # an overflowed row difference leaves no double difference to take
+                return math.nan
+            cosets = rows.reshape(ctx.size, B, A).transpose(0, 2, 1)
+            best = _max_pair_distance(cosets.reshape(ctx.size * A, B), best)
+        return best
     vals_t = np.ascontiguousarray(f.values.T)
     col_perms = translate_ids(ctx, shift_representatives(ctx, level2))
     block = max(1, _BLOCK_ENTRIES // ctx.size**2)
-    best = 0.0
     for pu in translate_ids(ctx, shift_representatives(ctx, level)):
         shifted_t = vals_t[:, pu]
         base_t = shifted_t - vals_t if kind == "omega12" else shifted_t

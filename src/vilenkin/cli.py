@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -252,6 +253,21 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> No
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows([_fmt(value) for value in row] for row in rows)
+
+
+def _say(line: str) -> None:
+    """Print ``line`` to stdout; once its reader has gone, drop the rest.
+
+    A closed stdout (``| head -c 1``) ends no command: the exit code stays
+    the one its checks or cap gate decide.
+    """
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        # later lines, and the flush at exit, go to the null device
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
 
 
 def _max_keeping_nan(values: Sequence[float]) -> float:
@@ -539,8 +555,8 @@ def cmd_check_identities(cfg: RunConfig) -> int:
     failures = sum(row[-1] == "FAIL" for row in rows)
     for name in sorted({check[0] for check in checks}):
         worst = _max_keeping_nan([check[2] for check in checks if check[0] == name])
-        print(f"{name}: max residual {worst:.3e}")
-    print(f"{len(checks)} checks, {failures} failures -> {cfg.out}")
+        _say(f"{name}: max residual {worst:.3e}")
+    _say(f"{len(checks)} checks, {failures} failures -> {cfg.out}")
     return 0 if failures == 0 else 1
 
 
@@ -550,10 +566,10 @@ def cmd_verify(cfg: RunConfig, write_summary: bool = False) -> int:
     rows = compute_rows(cfg)
     _write_csv(cfg.out, CSV_COLUMNS, ([getattr(r, col) for col in CSV_COLUMNS] for r in rows))
     errored = sum(1 for r in rows if r.error)
-    print(f"{len(rows)} rows ({errored} errored) -> {cfg.out}")
+    _say(f"{len(rows)} rows ({errored} errored) -> {cfg.out}")
     summary = summarize(cfg, rows)
     if write_summary:
-        print(f"summary -> {_write_summary(cfg.out, summary)}")
+        _say(f"summary -> {_write_summary(cfg.out, summary)}")
     breaches = _check_caps(cfg, caps, summary)
     for line in breaches:
         print(f"cap exceeded: {line}", file=sys.stderr)

@@ -18,6 +18,7 @@ from vilenkin import (
     modulus,
     psi_values,
 )
+from vilenkin import approx
 from vilenkin.approx import MODULUS_KINDS, shift_representatives
 from vilenkin.group import in_interval, cell_enumerate, cell_id, translate_ids
 
@@ -284,6 +285,116 @@ class TestModulus:
         with pytest.raises(ValueError, match="p must be >= 1 or inf"):
             modulus(f, kind, 1, p)
         assert modulus(f, kind, 1, math.inf).value > 0.0
+
+
+INF_GROUPS = [(2, 3, 2), (3, 3, 2), (2, 2, 2, 2), (5, 7)]
+
+
+def adversarial_grids(ctx, seed):
+    """Inputs that defeat or strain the farthest-pair pruning of p = inf."""
+    rng = np.random.default_rng(seed)
+    shape = (ctx.size, ctx.size)
+    gauss = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return {
+        "constant": np.full(shape, -3.7 + 2j),
+        # ties everywhere: most cosets hold two antipodal points
+        "roots4": 1j ** rng.integers(0, 4, shape),
+        # every point is on the hull, so nothing can be pruned
+        "circle": np.exp(2j * np.pi * rng.random(shape)),
+        "huge": gauss * 1e200,
+        "tiny": gauss * 1e-200,
+        # the centroid sums of f overflow, the differences do not
+        "near_max_one_sign": rng.uniform(1.0, 1.7, shape) * 1e308 + 0j,
+        # the centroid sums of the row differences g overflow
+        "row_offsets_near_max": np.linspace(-0.85e308, 0.85e308, ctx.size)[:, None]
+        + gauss * 1e300,
+        # the differences of f overflow to inf
+        "near_max_both_signs": rng.choice([-1.0, 1.0], shape) * 1.7e308
+        + 1j * rng.uniform(-1.0, 1.0, shape),
+        # the differences of the row differences g overflow, g itself does not
+        "half_max_both_signs": rng.choice([-0.45, 0.45], shape) * 1e308 + 0j,
+    }
+
+
+def brute_quietly(ctx, values, kind, level, level2=None):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return brute_modulus(ctx, values, kind, level, math.inf, level2)
+
+
+class TestInfDoubleShift:
+    """p = inf double-shift moduli as largest distances between coset points."""
+
+    @pytest.mark.parametrize("m", INF_GROUPS)
+    def test_total_equals_brute_force(self, m):
+        ctx = GroupContext(m)
+        f = random_grid_2d(ctx, 12)
+        for level in range(ctx.level + 1):
+            fast = modulus(f, "total", level, math.inf).value
+            assert fast == brute_modulus(ctx, f.values, "total", level, math.inf)
+
+    @pytest.mark.parametrize("m", INF_GROUPS)
+    def test_omega12_matches_brute_force(self, m):
+        ctx = GroupContext(m)
+        f = random_grid_2d(ctx, 13)
+        for level in range(ctx.level + 1):
+            for level2 in range(ctx.level + 1):
+                fast = modulus(f, "omega12", level, math.inf, level2=level2).value
+                slow = brute_modulus(ctx, f.values, "omega12", level, math.inf, level2)
+                assert abs(fast - slow) <= 1e-12
+
+    @pytest.mark.parametrize("m", [(2, 3, 2), (5, 7)])
+    def test_total_adversarial_inputs(self, m):
+        ctx = GroupContext(m)
+        for name, values in adversarial_grids(ctx, 14).items():
+            f = SampledFunction2D(ctx, values)
+            for level in range(ctx.level + 1):
+                fast = modulus(f, "total", level, math.inf).value
+                assert fast == brute_quietly(ctx, values, "total", level), (name, level)
+            if name.startswith("near_max_both"):
+                assert modulus(f, "total", 0, math.inf).value == math.inf
+
+    @pytest.mark.parametrize("m", [(2, 3, 2), (5, 7)])
+    def test_omega12_adversarial_inputs(self, m):
+        ctx = GroupContext(m)
+        for name, values in adversarial_grids(ctx, 15).items():
+            if name.startswith("near_max"):
+                # the oracle's partial sums overflow, or the library's row
+                # differences do (see the next test)
+                continue
+            f = SampledFunction2D(ctx, values)
+            # the oracle's four-term sum rounds at the scale of the values
+            tol = 1e-12 * np.abs(values).max()
+            for level in range(ctx.level + 1):
+                for level2 in (0, level):
+                    fast = modulus(f, "omega12", level, math.inf, level2=level2).value
+                    slow = brute_quietly(ctx, values, "omega12", level, level2)
+                    assert fast == pytest.approx(slow, rel=1e-12, abs=tol), (name, level)
+            if name == "half_max_both_signs":
+                assert modulus(f, "omega12", 0, math.inf).value == math.inf
+
+    def test_omega12_overflowed_row_difference_is_nan(self, ctx232):
+        values = adversarial_grids(ctx232, 16)["near_max_both_signs"]
+        f = SampledFunction2D(ctx232, values)
+        assert math.isnan(modulus(f, "omega12", 0, math.inf).value)
+        assert modulus(f, "omega12", ctx232.level, math.inf).value == 0.0
+
+    @pytest.mark.parametrize("name", ["circle", "roots4", "near_max_one_sign"])
+    def test_small_blocks_keep_the_value(self, monkeypatch, name):
+        # blocks smaller than one set's pairs, or than one point against its set
+        ctx = GroupContext((2, 3, 2))
+        f = SampledFunction2D(ctx, adversarial_grids(ctx, 17)[name])
+
+        def values():
+            return [
+                modulus(f, kind, level, math.inf).value
+                for kind in ("omega12", "total")
+                for level in range(ctx.level + 1)
+            ]
+
+        want = values()
+        for entries in (1, 5, 40):
+            monkeypatch.setattr(approx, "_BLOCK_ENTRIES", entries)
+            assert values() == want
 
 
 def test_shift_representatives_match_interval_filter(ctx2323):

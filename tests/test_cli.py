@@ -1,6 +1,11 @@
 import csv
+import errno
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -464,6 +469,47 @@ class TestSweep:
         assert rows and all(r["error"] for r in rows)
         assert code == 1
         assert "theorem1" in capsys.readouterr().err
+
+    def test_closed_stdout_keeps_cap_exit(self, tmp_path, monkeypatch, capsys):
+        class ClosedPipe(io.TextIOBase):
+            """A stdout whose reader has gone: every write fails with EPIPE."""
+
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+            def fileno(self):
+                return sink.fileno()
+
+        caps = tmp_path / "caps.json"
+        caps.write_text(json.dumps({"theorem1": 0.0}), encoding="utf-8")
+        with open(tmp_path / "stdout", "w", encoding="utf-8") as sink:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            code = main([
+                "sweep", "--m", "2,3", "--claims", "theorem1",
+                "--out", str(tmp_path / "s.csv"), "--cap-file", str(caps),
+            ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("cap exceeded: theorem1") == 3
+        assert "configuration error" not in err
+
+    def test_closed_pipe_in_a_real_process(self, tmp_path):
+        caps = tmp_path / "caps.json"
+        caps.write_text(json.dumps({"theorem1": 0.0}), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "vilenkin", "sweep", "--m", "2,3", "--alpha", "0.5",
+                 "--claims", "theorem1", "--out", str(tmp_path / "s.csv"),
+                 "--cap-file", str(caps)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr.decode().startswith("cap exceeded: theorem1 alpha=0.5")
 
     def test_nan_ratio_breaches_cap(self, tmp_path, monkeypatch):
         # a NaN lhs on the p = 1e6 rows gives NaN ratios after finite p = 2
