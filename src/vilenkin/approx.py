@@ -26,8 +26,20 @@ p = 2, by Plancherel,
     ||tau_(u,v) f - f||_2^2 = sum_k |f_hat(k)|^2 |psi_k1(u) psi_k2(v) - 1|^2,
 
 so one inverse transform of the power spectrum gives every shift's norm.
-At other p they loop over row shifts and gather the column shifts in blocks
-of bounded size.
+At other p every (u, v) shift is screened first, on a single-precision
+copy of f divided by a power of two near its peak.  Each magnitude there
+is off by at most 2^-14 times the sum of the 2 (``total``) or 4
+(``omega12``) |f| values in it, where the cast, the subtractions and abs
+round by fewer than 6 units of 2^-24.  By Minkowski every shift's estimate
+is then within a known delta of its exact norm, and a shift estimated more
+than 2 delta below the largest cannot reach the maximum.  Only the others are computed in double
+precision, row shift by row shift, with the column shifts gathered in
+blocks of bounded size.  A shift's norm does not depend on the other
+shifts of its block, so the maximum keeps the bits of computing every
+shift.  When every shift ties, as for a constant, the screen keeps them
+all and its cost comes on top of the full pass.  A shift whose difference
+overflows is computed on the scaled copy in double precision and scaled
+back, so the result is finite or inf.
 """
 
 from __future__ import annotations
@@ -220,6 +232,10 @@ _BLOCK_ENTRIES = 2**14
 # Relative slack on the pruning bound of ``_max_pair_distance``: far above the
 # few ulps by which computed centroid and pair distances can be off.
 _PRUNE_SLACK = 2.0**-40
+# Bound on the error of a single-precision double-difference magnitude,
+# relative to the sum of the |f| values in it: 2**10 units of 2**-24, far
+# above the fewer than 6 that the cast, the subtractions and abs add.
+_SCREEN_SLACK = 2.0**-14
 
 
 def _max_pair_distance(sets: np.ndarray, floor: float = 0.0) -> float:
@@ -267,6 +283,34 @@ def _max_pair_distance(sets: np.ndarray, floor: float = 0.0) -> float:
     return best
 
 
+def _shift_norms(
+    vals_t: np.ndarray, kind: str, p: float, row_perms, col_perms, keep: np.ndarray
+) -> np.ndarray:
+    """Lp norm of the double difference at each kept (row shift, column shift).
+
+    ``vals_t`` is the transposed grid, so that a column shift is a row
+    gather; its dtype sets the precision of the differences and their
+    magnitudes, which are reduced in float64.  Row shifts with no kept
+    column shift are skipped, and entries not kept are -inf.  A shift's
+    norm does not depend on which other shifts share its block.
+    """
+    norms = np.full(keep.shape, -math.inf)
+    # blocks of the same bytes at either precision
+    block = max(1, _BLOCK_ENTRIES * 16 // vals_t.nbytes)
+    for i in np.flatnonzero(keep.any(axis=1)):
+        shifted_t = vals_t[:, row_perms[i]]
+        base_t = shifted_t - vals_t if kind == "omega12" else shifted_t
+        ref_t = base_t if kind == "omega12" else vals_t
+        cols = np.flatnonzero(keep[i])
+        for start in range(0, len(cols), block):
+            idx = cols[start : start + block]
+            diff = base_t[col_perms[idx]]
+            diff -= ref_t
+            mags = np.abs(diff).astype(float, copy=False)
+            norms[i, idx] = _lp_mags(mags, p, axis=(1, 2))
+    return norms
+
+
 def _double_shift_modulus(
     f: SampledFunction2D, kind: str, level: int, level2: int, p: float
 ) -> float:
@@ -276,39 +320,60 @@ def _double_shift_modulus(
     it is g(x, y+v) - g(x, y) with the row difference g = f(x+u, y) - f(x, y).
     At p = inf the maximum over (x, y) and the shifts is a largest distance
     between points of one coset: of I_level x I_level in f for ``total``,
-    and of I_level2 in a row of g for ``omega12``, one batch per row shift.
-    At other p the column shifts are gathered in blocks, on transposed grids
-    so that a column shift is a row gather.
+    and of I_level2 in a row of g for ``omega12``, a batch of row shifts per
+    call.  At other p every shift is first screened in single precision,
+    and only the shifts that can reach the maximum are computed in double
+    precision.  A shift whose double-precision difference overflows is
+    computed on f divided by a power of two and scaled back, so the result
+    is finite or inf.
     """
     ctx = f.ctx
     if math.isinf(p) and kind == "total":
         A, B = ctx.M[level], ctx.size // ctx.M[level]
         cosets = f.values.reshape(B, A, B, A).transpose(1, 3, 0, 2)
         return _max_pair_distance(cosets.reshape(A * A, B * B))
-    best = 0.0
+    row_perms = translate_ids(ctx, shift_representatives(ctx, level))
     if math.isinf(p):
         A, B = ctx.M[level2], ctx.size // ctx.M[level2]
-        for pu in translate_ids(ctx, shift_representatives(ctx, level)):
+        best = 0.0
+        # several row shifts per call on small grids, as each call has a fixed cost
+        batch = max(1, _BLOCK_ENTRIES // ctx.size**2)
+        for start in range(0, len(row_perms), batch):
             with np.errstate(over="ignore"):
-                rows = f.values[pu, :] - f.values
+                rows = f.values[row_perms[start : start + batch]] - f.values
             if not np.isfinite(rows).all():
                 # an overflowed row difference leaves no double difference to take
                 return math.nan
-            cosets = rows.reshape(ctx.size, B, A).transpose(0, 2, 1)
-            best = _max_pair_distance(cosets.reshape(ctx.size * A, B), best)
+            cosets = rows.reshape(-1, B, A).transpose(0, 2, 1)
+            best = _max_pair_distance(cosets.reshape(-1, B), best)
         return best
-    vals_t = np.ascontiguousarray(f.values.T)
     col_perms = translate_ids(ctx, shift_representatives(ctx, level2))
-    block = max(1, _BLOCK_ENTRIES // ctx.size**2)
-    for pu in translate_ids(ctx, shift_representatives(ctx, level)):
-        shifted_t = vals_t[:, pu]
-        base_t = shifted_t - vals_t if kind == "omega12" else shifted_t
-        ref_t = base_t if kind == "omega12" else vals_t
-        for start in range(0, len(col_perms), block):
-            diff = base_t[col_perms[start : start + block]]
-            diff -= ref_t
-            best = max(best, float(np.max(_lp_mags(np.abs(diff), p, axis=(1, 2)))))
-    return best
+    terms = 4 if kind == "omega12" else 2
+    peak = float(np.max(np.abs(f.values)))
+    # a power of two near the peak whose reciprocal is a normal float:
+    # dividing by it is exact above the subnormals
+    scale = math.ldexp(1.0, min(max(math.frexp(peak)[1], -1021), 1021))
+    scaled = f.values / scale
+    screen_t = np.ascontiguousarray(scaled.T, dtype=np.complex64)
+    every = np.ones((len(row_perms), len(col_perms)), dtype=bool)
+    estimate = _shift_norms(screen_t, kind, p, row_perms, col_perms, every)
+    # each single-precision magnitude is within _SCREEN_SLACK times the sum
+    # of the ``terms`` |f| values in it, so by Minkowski each estimate is
+    # within ``slack`` of the exact norm, and a shift more than twice that
+    # below the largest estimate cannot reach the maximum
+    slack = _SCREEN_SLACK * terms * peak / scale
+    keep = ~(estimate < estimate.max() - 2.0 * slack)
+    plain_t = np.ascontiguousarray(f.values.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        exact = _shift_norms(plain_t, kind, p, row_perms, col_perms, keep)
+    # an overflowed difference makes its shift's norm NaN: redo it scaled
+    overflowed = np.isnan(exact)
+    if not overflowed.any():
+        return float(exact.max())
+    scaled_t = np.ascontiguousarray(scaled.T)
+    redone = _shift_norms(scaled_t, kind, p, row_perms, col_perms, overflowed)
+    exact[overflowed] = -math.inf
+    return max(float(exact.max()), float(redone.max()) * scale)
 
 
 def modulus(

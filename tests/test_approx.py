@@ -380,13 +380,15 @@ class TestInfDoubleShift:
 
     @pytest.mark.parametrize("name", ["circle", "roots4", "near_max_one_sign"])
     def test_small_blocks_keep_the_value(self, monkeypatch, name):
-        # blocks smaller than one set's pairs, or than one point against its set
+        # blocks smaller than one set's pairs, or than one point against its
+        # set; at finite p one shift per block against all shifts in one
         ctx = GroupContext((2, 3, 2))
         f = SampledFunction2D(ctx, adversarial_grids(ctx, 17)[name])
 
         def values():
             return [
-                modulus(f, kind, level, math.inf).value
+                modulus(f, kind, level, p).value
+                for p in (math.inf, 1.0, 3.0)
                 for kind in ("omega12", "total")
                 for level in range(ctx.level + 1)
             ]
@@ -395,6 +397,85 @@ class TestInfDoubleShift:
         for entries in (1, 5, 40):
             monkeypatch.setattr(approx, "_BLOCK_ENTRIES", entries)
             assert values() == want
+
+
+SCREEN_GROUPS = [(2, 3, 2), (2, 2, 2, 2), (3, 3, 2), (5, 7), (2, 3, 2, 3)]
+
+
+def screen_grids(ctx, seed):
+    """Inputs that stress the single-precision screen of finite-p double shifts."""
+    rng = np.random.default_rng(seed)
+    shape = (ctx.size, ctx.size)
+    gauss = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    character = np.outer(psi_values(ctx, 1), psi_values(ctx, ctx.size - 1))
+    return {
+        "gauss": gauss,
+        # many shifts tie exactly
+        "character": character,
+        "constant": np.full(shape, -3.7 + 2j),
+        "integers": rng.integers(-2, 3, shape) + 1j * rng.integers(-2, 3, shape),
+        # ties broken below single-precision resolution
+        "character_noise": character + 1e-9 * gauss,
+        "huge": gauss * 1e200,
+        "tiny": gauss * 1e-200,
+    }
+
+
+class TestScreenedDoubleShift:
+    """Finite-p double-shift moduli: a single-precision screen, then double precision."""
+
+    @pytest.mark.parametrize("m", SCREEN_GROUPS)
+    def test_screen_keeps_the_value(self, monkeypatch, m):
+        ctx = GroupContext(m)
+        calls = [
+            (kind, level, None) for kind in ("omega12", "total") for level in range(ctx.level + 1)
+        ]
+        calls.append(("omega12", 1, 2))
+        for name, values in screen_grids(ctx, 18).items():
+            f = SampledFunction2D(ctx, values)
+            # the two grids of about 36 x 36 cells take p = 1.5 and 3 on one input only
+            ps = (1.0, 1.5, 3.0) if ctx.size < 30 or name == "character_noise" else (1.0,)
+            for p in ps:
+                got = [modulus(f, kind, lvl, p, level2=lvl2).value for kind, lvl, lvl2 in calls]
+                # an infinite slack keeps every shift: the unscreened computation
+                monkeypatch.setattr(approx, "_SCREEN_SLACK", math.inf)
+                want = [modulus(f, kind, lvl, p, level2=lvl2).value for kind, lvl, lvl2 in calls]
+                monkeypatch.undo()
+                assert got == want, (name, p)
+
+    def test_complex64_abs_error(self):
+        # the screen's slack assumes far fewer than 2**10 float32 ulps from
+        # abs; the cast and each subtraction add at most one more
+        rng = np.random.default_rng(19)
+        size = 1 << 16
+        exponents = rng.uniform(-149.0, 4.0, (2, size))
+        parts = rng.choice([-1.0, 1.0], (2, size)) * 2.0**exponents
+        z = (parts[0] + 1j * parts[1]).astype(np.complex64)
+        got = np.abs(z).astype(float)
+        ref = np.abs(z.astype(np.complex128))
+        normal = ref >= np.finfo(np.float32).tiny
+        assert np.all(np.abs(got - ref)[normal] <= 4 * 2.0**-24 * ref[normal])
+        assert np.all(np.abs(got - ref)[~normal] <= 2 * 2.0**-149)
+
+    @pytest.mark.parametrize("amplitude", [1.7e308, 1e308])
+    def test_overflowed_differences_scale_back(self, ctx232, amplitude):
+        # the differences overflow: each such shift is computed on f * 2**-k
+        rng = np.random.default_rng(20)
+        shape = (ctx232.size, ctx232.size)
+        values = rng.choice([-1.0, 1.0], shape) * amplitude + 1j * rng.uniform(-1.0, 1.0, shape)
+        f = SampledFunction2D(ctx232, values)
+        g = SampledFunction2D(ctx232, values * 2.0**-1000)
+        for kind in ("omega12", "total"):
+            for p in (1.0, 3.0):
+                for level in range(ctx232.level + 1):
+                    got = modulus(f, kind, level, p).value
+                    want = modulus(g, kind, level, p).value * 2.0**1000
+                    assert got == pytest.approx(want, rel=1e-12), (kind, p, level)
+                assert modulus(f, kind, 0, p).value > 0.0
+        if amplitude == 1e308:
+            assert math.isfinite(modulus(f, "total", 0, 1.0).value)
+        else:
+            assert modulus(f, "total", 0, 1.0).value == math.inf
 
 
 def test_shift_representatives_match_interval_filter(ctx2323):
