@@ -253,6 +253,7 @@ def _max_pair_distance(sets: np.ndarray, floor: float = 0.0) -> float:
     the bits of enumerating all pairs.  A non-finite centroid, radius or
     bound compares false and keeps the whole set.  The points are finite,
     so a pair distance is finite or inf, and an inf is returned at once.
+    So is the pre-pass maximum when no set has more than two points.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         radius = np.abs(sets - sets.mean(axis=1, keepdims=True))
@@ -260,7 +261,8 @@ def _max_pair_distance(sets: np.ndarray, floor: float = 0.0) -> float:
         far = np.argmax(radius, axis=1)
         rho = radius[rows, far]
         best = max(floor, float(np.abs(sets - sets[rows, far][:, None]).max()))
-        if best == math.inf:
+        # with at most two points a set's only pair has been formed
+        if best == math.inf or sets.shape[1] <= 2:
             return best
         bound = best * (1.0 - _PRUNE_SLACK) - rho * (1.0 + _PRUNE_SLACK) - _TINY
         keep = ~(radius < bound[:, None])

@@ -204,12 +204,50 @@ def _kernel_weights(alpha: float, terms: int, p: int) -> np.ndarray:
     return cesaro_numbers(-_check_alpha(alpha) - 1.0, p - 1)[p - np.arange(1, terms + 1)]
 
 
+# Entries of a leaf of numpy's pairwise summation (PW_BLOCKSIZE), summed
+# with eight running accumulators rather than split further.
+_PAIRWISE_LEAF = 128
+
+# numpy 2.3 rewrote the buffering of reductions, so a contiguous float64
+# array is summed as one pairwise tree.  Before it, an inner loop stopped at
+# the 8192-entry buffer and the chunk sums were added one after another,
+# which repeated identical halves do not reproduce.
+_WHOLE_ARRAY_PAIRWISE = np.lib.NumpyVersion(np.__version__) >= "2.3.0"
+
+
+def _grid_mean(block: np.ndarray, reps: int) -> float:
+    """``np.mean(np.tile(block, (reps,) * block.ndim))``, bit for bit.
+
+    ``block`` is C-ordered, as the tile is.  numpy sums a contiguous float64
+    array pairwise: a run of more than ``_PAIRWISE_LEAF`` entries is split
+    into halves at a multiple of 8, and a shorter run is a leaf.  When the
+    tiled side M_N = P * reps is a power of two, so is the period P, and
+    every split above one period of rows (then, inside a row, above P
+    entries or a leaf) has two identical halves.  Two identical halves sum
+    to exactly twice one half, and scaling by a power of two commutes with
+    the sum and the division of the mean, barring overflow.  So the mean of
+    the full tile is the mean of the smallest contiguous tile that the tree
+    repeats: P rows of max(P, 128) entries, or, when a leaf holds several
+    rows (M_N < 128), as many row copies as fill one leaf; never more than
+    the full tile.  Other sides tile in full, and so does every side on
+    numpy < 2.3, which does not sum a large array as one tree.
+    """
+    period = block.shape[0]
+    size = period * reps
+    copies = [reps] * block.ndim
+    if _WHOLE_ARRAY_PAIRWISE and size & (size - 1) == 0:
+        copies[-1] = min(reps, max(1, _PAIRWISE_LEAF // period))
+        if block.ndim == 2:
+            copies[0] = min(reps, max(period, _PAIRWISE_LEAF // size) // period)
+    return float(np.mean(np.tile(block, copies)))
+
+
 def _kernel_integrals(ctx: GroupContext, coeffs: np.ndarray) -> tuple[float, float]:
     """Exact integrals of |sum_i c_i D_i(u) D_i(v)| and |sum_i c_i D_i(u)|.
 
     ``coeffs[i-1]`` multiplies D_i, i = 1..n.  D_i with i <= M_k depends on a
-    cell id only mod M_k, so the products cover one period and are tiled back
-    to the full grid before the mean, which then sums in the full-grid order.
+    cell id only mod M_k, so the products cover one period, and
+    ``_grid_mean`` takes their mean in the order of the full grid.
     """
     period = ctx.M[_band_level(ctx, len(coeffs))]
     reps = ctx.size // period
@@ -217,7 +255,7 @@ def _kernel_integrals(ctx: GroupContext, coeffs: np.ndarray) -> tuple[float, flo
     weighted = coeffs[:, None] * rows
     quad = np.abs(weighted.T @ rows)
     line = np.abs(coeffs @ rows)
-    return float(np.mean(np.tile(quad, (reps, reps)))), float(np.mean(np.tile(line, reps)))
+    return _grid_mean(quad, reps), _grid_mean(line, reps)
 
 
 def lemma1_report(

@@ -398,6 +398,18 @@ class TestInfDoubleShift:
             monkeypatch.setattr(approx, "_BLOCK_ENTRIES", entries)
             assert values() == want
 
+    @pytest.mark.parametrize("points", [1, 2])
+    def test_small_sets_equal_all_pairs(self, points):
+        rng = np.random.default_rng(18)
+        sets = rng.standard_normal((200, points)) + 1j * rng.standard_normal((200, points))
+        sets *= 10.0 ** rng.integers(-3, 4, (200, 1))
+        sets[:5] = sets[:5, :1]  # coincident points
+        every_pair = float(np.abs(sets[:, :, None] - sets[:, None, :]).max())
+        assert approx._max_pair_distance(sets) == every_pair
+        assert approx._max_pair_distance(sets[:5]) == 0.0
+        for floor in (0.0, every_pair / 2, 2 * every_pair):
+            assert approx._max_pair_distance(sets, floor) == max(floor, every_pair)
+
 
 SCREEN_GROUPS = [(2, 3, 2), (2, 2, 2, 2), (3, 3, 2), (5, 7), (2, 3, 2, 3)]
 

@@ -21,6 +21,7 @@ from vilenkin import (
 )
 from vilenkin.verify import (
     FunctionFamily,
+    _grid_mean,
     _kernel_integrals,
     _kernel_weights,
     _modulus_rhs,
@@ -97,9 +98,63 @@ def kernel_coefficient_sets(ctx):
     return sets
 
 
+def grid_blocks(period, seed):
+    """C-ordered |.|-like blocks for ``_grid_mean``: mixed magnitudes, zeros, lines."""
+    rng = np.random.default_rng(seed)
+    shape = (period, period)
+    mixed = np.abs(rng.standard_normal(shape)) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+    zeros = np.where(rng.random(shape) < 0.3, 0.0, mixed)
+    return [mixed, zeros, np.zeros(shape), mixed[0], zeros[:, 0].copy()]
+
+
+def tiled_mean(block, reps):
+    return float(np.mean(np.tile(block, (reps,) * block.ndim)))
+
+
+class TestGridMean:
+    @pytest.mark.parametrize("size", [2**a for a in range(1, 11)] + [4096])
+    def test_equals_tiled_mean_at_power_of_two_sides(self, size):
+        # every period up to 1024; two at 4096, whose full tiles take 128 MB
+        periods = [4, 256] if size == 4096 else [2**b for b in range(size.bit_length())]
+        for period in periods:
+            for i, block in enumerate(grid_blocks(period, size + period)):
+                reps = size // period
+                assert _grid_mean(block, reps) == tiled_mean(block, reps), (period, i)
+
+    def test_tiles_in_full_without_one_summation_tree(self, monkeypatch):
+        # numpy < 2.3 adds 8192-entry chunk sums one after another
+        monkeypatch.setattr("vilenkin.verify._WHOLE_ARRAY_PAIRWISE", False)
+        shapes = []
+        tile = np.tile
+        monkeypatch.setattr(np, "tile", lambda a, reps: shapes.append(tuple(reps)) or tile(a, reps))
+        block = grid_blocks(4, 0)[0]
+        assert _grid_mean(block, 64) == tiled_mean(block, 64)
+        assert shapes == [(64, 64), (64, 64)]
+
+    @pytest.mark.parametrize(
+        "m", [(2, 3, 2, 3), (3,) * 5, (2, 2, 3), (4, 2, 5)], ids=["2323", "3^5", "223", "425"]
+    )
+    def test_equals_tiled_mean_on_other_sides(self, m):
+        ctx = GroupContext(m)
+        for period in ctx.M:
+            for i, block in enumerate(grid_blocks(period, period)):
+                reps = ctx.size // period
+                assert _grid_mean(block, reps) == tiled_mean(block, reps), (period, i)
+
+
 class TestKernelIntegrals:
     @pytest.mark.parametrize("m", [(4,) * 5, (2,) * 8], ids=["4^5", "2^8"])
     def test_period_path_bit_identical_on_power_groups(self, m):
+        ctx = GroupContext(m)
+        for coeffs in kernel_coefficient_sets(ctx):
+            assert _kernel_integrals(ctx, coeffs) == full_grid_integrals(ctx, coeffs)
+
+    @pytest.mark.parametrize(
+        "m", [(2,) * 6, (2,) * 7, (2, 4, 2, 4, 2)], ids=["2^6", "2^7", "24242"]
+    )
+    def test_period_path_bit_identical_around_the_summation_leaf(self, m):
+        # M_N = 64 has several rows per 128-entry leaf of numpy's pairwise
+        # sum, M_N = 128 exactly one
         ctx = GroupContext(m)
         for coeffs in kernel_coefficient_sets(ctx):
             assert _kernel_integrals(ctx, coeffs) == full_grid_integrals(ctx, coeffs)
