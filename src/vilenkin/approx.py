@@ -32,14 +32,24 @@ is off by at most 2^-14 times the sum of the 2 (``total``) or 4
 (``omega12``) |f| values in it, where the cast, the subtractions and abs
 round by fewer than 6 units of 2^-24.  By Minkowski every shift's estimate
 is then within a known delta of its exact norm, and a shift estimated more
-than 2 delta below the largest cannot reach the maximum.  Only the others are computed in double
-precision, row shift by row shift, with the column shifts gathered in
-blocks of bounded size.  A shift's norm does not depend on the other
-shifts of its block, so the maximum keeps the bits of computing every
-shift.  When every shift ties, as for a constant, the screen keeps them
-all and its cost comes on top of the full pass.  A shift whose difference
-overflows is computed on the scaled copy in double precision and scaled
-back, so the result is finite or inf.
+than 2 delta below the largest cannot reach the maximum.  The screen
+evaluates one shift of each symmetry orbit: as fl(a - b) = -fl(b - a),
+the group's translations map the magnitudes of (u, v) onto those of
+(-u, -v) (``total``), or of (-u, v) and (u, -v) (``omega12``), and a
+shift of order 2 onto its own, so it takes only half of the points there
+(a quarter when both components of an ``omega12`` shift have order 2).
+Each estimate is then a mean of the same single-precision magnitudes as
+a full enumeration's, summed in another order, and the delta holds as
+before; the shifts of one orbit share their estimate, so they are kept
+or dropped together.  Only the kept shifts are computed in double
+precision, over every point and without symmetry, row shift by row
+shift, with the column shifts gathered in blocks of bounded size.  A
+shift's norm does not depend on the other shifts of its block, so the
+maximum keeps the bits of computing every shift.  When every shift ties,
+as for a constant, the screen keeps them all and its cost comes on top of
+the full pass.  A shift whose difference overflows is computed on the
+scaled copy in double precision and scaled back, so the result is finite
+or inf.
 """
 
 from __future__ import annotations
@@ -49,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GroupContext, _check_index, _negate_ids, translate_ids
+from .group import GroupContext, _check_index, _negate_ids, digit_table, translate_ids
 from .kernels import cesaro_numbers
 from .transform import (
     SampledFunction2D,
@@ -313,6 +323,101 @@ def _shift_norms(
     return norms
 
 
+def _half_digits(ctx: GroupContext, ids: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """First nonzero digit of each shift of order 2, and -1 for the others.
+
+    ``neg`` gives the position of each shift's inverse in ``ids``.
+    """
+    first = np.argmax(digit_table(ctx)[:, ids] != 0, axis=0)
+    return np.where((neg == np.arange(len(ids))) & (ids != 0), first, -1)
+
+
+def _screen_norms(
+    vals_t: np.ndarray, kind: str, p: float, ctx: GroupContext, level: int, level2: int,
+    row_perms, col_perms,
+) -> np.ndarray:
+    """The norms of ``_shift_norms`` at every shift, evaluated once per symmetry orbit.
+
+    With d the double difference of the shift (u, v), fl(a - b) = -fl(b - a)
+    gives d_(-u,-v)(x + u, y + v) = -d_(u,v)(x, y) for ``total``, and for
+    ``omega12`` d_(-u,v)(x, y) = -d_(u,v)(x - u, y) and
+    d_(u,-v)(x, y) = -d_(u,v)(x, y - v).  So a shift has the magnitudes of
+    its inverse (``total``) or of each sign change of one component
+    (``omega12``), and only one shift of each orbit is evaluated.  A shift
+    s of order 2 (2s = 0, s != 0) maps its own magnitudes onto themselves,
+    x to x + s; its first nonzero digit k is m_k / 2, and digits add
+    without carry, so the points with x_k < m_k / 2 hold each magnitude
+    once where the full set holds it twice.  ``omega12`` halves the row
+    points so for a row shift of order 2, and the column points for a
+    column shift of order 2; ``total`` halves the row points for a joint
+    shift (u, v) of order 2 with u != 0, and the column points when u = 0.
+    Each norm is thus a mean of the magnitudes that ``_shift_norms``
+    averages, summed in another order.
+
+    The evaluated shifts fall into tiles, row shifts times column shifts
+    that halve the same points, and a block gathers its column shifts for
+    several row shifts at once.
+    """
+    rows = shift_representatives(ctx, level)
+    cols = shift_representatives(ctx, level2)
+    neg_r = _negate_ids(ctx, rows) // ctx.M[level]
+    neg_c = _negate_ids(ctx, cols) // ctx.M[level2]
+    half_r = _half_digits(ctx, rows, neg_r)
+    half_c = _half_digits(ctx, cols, neg_c)
+    R, C = len(rows), len(cols)
+    i, j = np.arange(R), np.arange(C)
+    if kind == "omega12":
+        orbit = np.minimum(i, neg_r)[:, None] * C + np.minimum(j, neg_c)
+        # a zero row or column shift leaves the difference exactly 0
+        first_r, first_c = i[(i <= neg_r) & (i > 0)], j[(j <= neg_c) & (j > 0)]
+        col_groups = [
+            (first_c[half_c[first_c] == yk], yk) for yk in set(half_c[first_c].tolist())
+        ]
+        tiles = [
+            (first_r[half_r[first_r] == xk], xk, col_groups) for xk in set(half_r[first_r].tolist())
+        ]
+    else:
+        orbit = np.minimum(i[:, None] * C + j, neg_r[:, None] * C + neg_c)
+        # u != -u pairs rows, each with every column; u = -u pairs columns
+        tiles = [(i[i < neg_r], -1, [(j, -1)]), (i[i == neg_r], -1, [(j[j < neg_c], -1)])]
+        # the rest have order 2, or are the zero shift (0, 0), whose difference is 0
+        both = j[j == neg_c]
+        tiles += [(i[half_r == xk], xk, [(both, -1)]) for xk in set(half_r[half_r >= 0].tolist())]
+        zero_row = [(both[half_c[both] == yk], yk) for yk in set(half_c[both[1:]].tolist())]
+        tiles.append((i[:1], -1, zero_row))
+    table = digit_table(ctx)
+    # key -1, no halving, takes every point
+    halves = [np.flatnonzero(table[k] < ctx.m[k] // 2) for k in range(ctx.level)]
+    halves.append(slice(None))
+    # blocks of the bytes that ``_shift_norms`` gathers
+    entries = _BLOCK_ENTRIES * 16 // vals_t.itemsize
+    norms = np.zeros(R * C)
+    for tile_rows, xk, col_groups in tiles:
+        if not any(len(tile_cols) for tile_cols, _ in col_groups):
+            continue
+        xs = halves[xk]
+        plain = vals_t[:, xs]
+        chunk = max(1, entries // plain.size)
+        for start in range(0, len(tile_rows), chunk):
+            rc = tile_rows[start : start + chunk]
+            # (row shift, y, x): one grid per row shift
+            base = np.ascontiguousarray(vals_t[:, row_perms[rc][:, xs]].transpose(1, 0, 2))
+            if kind == "omega12":
+                base -= plain
+            for tile_cols, yk in col_groups:
+                ys = halves[yk]
+                ref = base[:, None, ys] if kind == "omega12" else plain[ys]
+                perms = col_perms[tile_cols][:, ys]
+                block = max(1, entries // (len(rc) * perms.shape[1] * plain.shape[1]))
+                for col in range(0, len(tile_cols), block):
+                    diff = np.take(base, perms[col : col + block], axis=1)
+                    diff -= ref
+                    mags = np.abs(diff).astype(float, copy=False)
+                    at = np.add.outer(rc * C, tile_cols[col : col + block])
+                    norms[at] = _lp_mags(mags, p, axis=(2, 3))
+    return norms[orbit]
+
+
 def _double_shift_modulus(
     f: SampledFunction2D, kind: str, level: int, level2: int, p: float
 ) -> float:
@@ -357,8 +462,7 @@ def _double_shift_modulus(
     scale = math.ldexp(1.0, min(max(math.frexp(peak)[1], -1021), 1021))
     scaled = f.values / scale
     screen_t = np.ascontiguousarray(scaled.T, dtype=np.complex64)
-    every = np.ones((len(row_perms), len(col_perms)), dtype=bool)
-    estimate = _shift_norms(screen_t, kind, p, row_perms, col_perms, every)
+    estimate = _screen_norms(screen_t, kind, p, ctx, level, level2, row_perms, col_perms)
     # each single-precision magnitude is within _SCREEN_SLACK times the sum
     # of the ``terms`` |f| values in it, so by Minkowski each estimate is
     # within ``slack`` of the exact norm, and a shift more than twice that
