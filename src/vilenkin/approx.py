@@ -32,24 +32,37 @@ is off by at most 2^-14 times the sum of the 2 (``total``) or 4
 (``omega12``) |f| values in it, where the cast, the subtractions and abs
 round by fewer than 6 units of 2^-24.  By Minkowski every shift's estimate
 is then within a known delta of its exact norm, and a shift estimated more
-than 2 delta below the largest cannot reach the maximum.  The screen
-evaluates one shift of each symmetry orbit: as fl(a - b) = -fl(b - a),
-the group's translations map the magnitudes of (u, v) onto those of
-(-u, -v) (``total``), or of (-u, v) and (u, -v) (``omega12``), and a
-shift of order 2 onto its own, so it takes only half of the points there
-(a quarter when both components of an ``omega12`` shift have order 2).
-Each estimate is then a mean of the same single-precision magnitudes as
-a full enumeration's, summed in another order, and the delta holds as
-before; the shifts of one orbit share their estimate, so they are kept
-or dropped together.  Only the kept shifts are computed in double
-precision, over every point and without symmetry, row shift by row
-shift, with the column shifts gathered in blocks of bounded size.  A
-shift's norm does not depend on the other shifts of its block, so the
-maximum keeps the bits of computing every shift.  When every shift ties,
-as for a constant, the screen keeps them all and its cost comes on top of
-the full pass.  A shift whose difference overflows is computed on the
-scaled copy in double precision and scaled back, so the result is finite
-or inf.
+than 2 delta below the largest cannot reach the maximum.
+
+The screen evaluates one shift of each symmetry orbit.  With d the double
+difference of the shift (u, v), fl(a - b) = -fl(b - a) gives
+d_(-u,-v)(x + u, y + v) = -d_(u,v)(x, y) for ``total``, and for ``omega12``
+d_(-u,v)(x, y) = -d_(u,v)(x - u, y) and d_(u,-v)(x, y) = -d_(u,v)(x, y - v),
+so the shifts of an orbit have the same magnitudes.  A shift s of order 2
+(2s = 0, s != 0) maps its own magnitudes onto themselves, x to x + s; its
+first nonzero digit k is m_k / 2, and digits add without carry, so the
+points with x_k < m_k / 2 hold each magnitude once where the full set
+holds it twice.  ``omega12`` halves the row points so for a row shift of
+order 2, and the column points for a column shift of order 2; ``total``
+halves the row points for a joint shift (u, v) of order 2 with u != 0,
+and the column points when u = 0.  A zero row or column shift of
+``omega12``, and the zero shift of ``total``, leave the difference exactly
+0 and are not formed.  Each estimate is then a mean of the same
+single-precision magnitudes as a full enumeration's, summed in another
+order, and the delta holds as before; the shifts of one orbit share their
+estimate, so they are kept or dropped together.
+
+Only the kept shifts are computed in double precision, over every point
+and without symmetry.  Both passes run one gather loop over tiles: row
+shifts times column shifts that take the same points, one row shift per
+tile in the double-precision pass.  A block gathers the column shifts of
+several row shifts at once, and each shift's magnitudes are reduced in
+float64 over their own contiguous (y, x) block, so a shift's norm does not
+depend on the other shifts of its block, and the maximum keeps the bits of
+computing every shift.  When every shift ties, as for a constant, the
+screen keeps them all and its cost comes on top of the full pass.  A shift
+whose difference overflows is computed on the scaled copy in double
+precision and scaled back, so the result is finite or inf.
 """
 
 from __future__ import annotations
@@ -295,76 +308,68 @@ def _max_pair_distance(sets: np.ndarray, floor: float = 0.0) -> float:
     return best
 
 
-def _shift_norms(
-    vals_t: np.ndarray, kind: str, p: float, row_perms, col_perms, keep: np.ndarray
-) -> np.ndarray:
-    """Lp norm of the double difference at each kept (row shift, column shift).
+def _shift_set(ctx: GroupContext, level: int):
+    """The shifts of I_level: their permutations, inverses and halving digits.
 
-    ``vals_t`` is the transposed grid, so that a column shift is a row
-    gather; its dtype sets the precision of the differences and their
-    magnitudes, which are reduced in float64.  Row shifts with no kept
-    column shift are skipped, and entries not kept are -inf.  A shift's
-    norm does not depend on which other shifts share its block.
+    The inverse of each shift is given by its position in the set, and its
+    halving digit is its first nonzero digit if it has order 2, else -1.
     """
-    norms = np.full(keep.shape, -math.inf)
-    # blocks of the same bytes at either precision
-    block = max(1, _BLOCK_ENTRIES * 16 // vals_t.nbytes)
-    for i in np.flatnonzero(keep.any(axis=1)):
-        shifted_t = vals_t[:, row_perms[i]]
-        base_t = shifted_t - vals_t if kind == "omega12" else shifted_t
-        ref_t = base_t if kind == "omega12" else vals_t
-        cols = np.flatnonzero(keep[i])
-        for start in range(0, len(cols), block):
-            idx = cols[start : start + block]
-            diff = base_t[col_perms[idx]]
-            diff -= ref_t
-            mags = np.abs(diff).astype(float, copy=False)
-            norms[i, idx] = _lp_mags(mags, p, axis=(1, 2))
-    return norms
-
-
-def _half_digits(ctx: GroupContext, ids: np.ndarray, neg: np.ndarray) -> np.ndarray:
-    """First nonzero digit of each shift of order 2, and -1 for the others.
-
-    ``neg`` gives the position of each shift's inverse in ``ids``.
-    """
+    ids = shift_representatives(ctx, level)
+    neg = _negate_ids(ctx, ids) // ctx.M[level]
     first = np.argmax(digit_table(ctx)[:, ids] != 0, axis=0)
-    return np.where((neg == np.arange(len(ids))) & (ids != 0), first, -1)
+    half = np.where((neg == np.arange(len(ids))) & (ids != 0), first, -1)
+    return translate_ids(ctx, ids), neg, half
 
 
-def _screen_norms(
-    vals_t: np.ndarray, kind: str, p: float, ctx: GroupContext, level: int, level2: int,
-    row_perms, col_perms,
+def _tile_norms(
+    vals_t: np.ndarray, kind: str, p: float, row_perms, col_perms, tiles, fill: float
 ) -> np.ndarray:
-    """The norms of ``_shift_norms`` at every shift, evaluated once per symmetry orbit.
+    """Lp norm of the double difference at each shift of ``tiles``, else ``fill``.
 
-    With d the double difference of the shift (u, v), fl(a - b) = -fl(b - a)
-    gives d_(-u,-v)(x + u, y + v) = -d_(u,v)(x, y) for ``total``, and for
-    ``omega12`` d_(-u,v)(x, y) = -d_(u,v)(x - u, y) and
-    d_(u,-v)(x, y) = -d_(u,v)(x, y - v).  So a shift has the magnitudes of
-    its inverse (``total``) or of each sign change of one component
-    (``omega12``), and only one shift of each orbit is evaluated.  A shift
-    s of order 2 (2s = 0, s != 0) maps its own magnitudes onto themselves,
-    x to x + s; its first nonzero digit k is m_k / 2, and digits add
-    without carry, so the points with x_k < m_k / 2 hold each magnitude
-    once where the full set holds it twice.  ``omega12`` halves the row
-    points so for a row shift of order 2, and the column points for a
-    column shift of order 2; ``total`` halves the row points for a joint
-    shift (u, v) of order 2 with u != 0, and the column points when u = 0.
-    Each norm is thus a mean of the magnitudes that ``_shift_norms``
-    averages, summed in another order.
-
-    The evaluated shifts fall into tiles, row shifts times column shifts
-    that halve the same points, and a block gathers its column shifts for
-    several row shifts at once.
+    A tile is (row shifts, x points, [(column shifts, y points), ...]), the
+    shifts as positions in ``row_perms`` and ``col_perms``.  ``vals_t`` is
+    the transposed grid, so that a column shift gathers along the y axis;
+    its dtype sets the precision of the differences and their magnitudes,
+    which are reduced in float64.
     """
-    rows = shift_representatives(ctx, level)
-    cols = shift_representatives(ctx, level2)
-    neg_r = _negate_ids(ctx, rows) // ctx.M[level]
-    neg_c = _negate_ids(ctx, cols) // ctx.M[level2]
-    half_r = _half_digits(ctx, rows, neg_r)
-    half_c = _half_digits(ctx, cols, neg_c)
-    R, C = len(rows), len(cols)
+    C = len(col_perms)
+    norms = np.full(len(row_perms) * C, fill)
+    # blocks of the same bytes at either precision
+    entries = _BLOCK_ENTRIES * 16 // vals_t.itemsize
+    for tile_rows, xs, col_groups in tiles:
+        if not any(len(tile_cols) for tile_cols, _ in col_groups):
+            continue
+        plain = vals_t[:, xs]
+        chunk = max(1, entries // plain.size)
+        for start in range(0, len(tile_rows), chunk):
+            rc = tile_rows[start : start + chunk]
+            # (row shift, y, x): one grid per row shift
+            base = np.ascontiguousarray(vals_t[:, row_perms[rc][:, xs]].transpose(1, 0, 2))
+            if kind == "omega12":
+                base -= plain
+            for tile_cols, ys in col_groups:
+                ref = base[:, None, ys] if kind == "omega12" else plain[ys]
+                perms = col_perms[tile_cols][:, ys]
+                block = max(1, entries // (len(rc) * perms.shape[1] * plain.shape[1]))
+                for col in range(0, len(tile_cols), block):
+                    diff = np.take(base, perms[col : col + block], axis=1)
+                    diff -= ref
+                    mags = np.abs(diff).astype(float, copy=False)
+                    at = np.add.outer(rc * C, tile_cols[col : col + block])
+                    norms[at] = _lp_mags(mags, p, axis=(2, 3))
+    return norms.reshape(-1, C)
+
+
+def _screen_norms(vals_t: np.ndarray, kind: str, p: float, ctx: GroupContext, rows, cols):
+    """Every shift's norm, evaluated once per symmetry orbit on the points it halves to.
+
+    ``rows`` and ``cols`` are the ``_shift_set`` of the two levels.  The
+    evaluated shifts fall into tiles, row shifts times column shifts that
+    halve the same points.
+    """
+    row_perms, neg_r, half_r = rows
+    col_perms, neg_c, half_c = cols
+    R, C = len(neg_r), len(neg_c)
     i, j = np.arange(R), np.arange(C)
     if kind == "omega12":
         orbit = np.minimum(i, neg_r)[:, None] * C + np.minimum(j, neg_c)
@@ -389,33 +394,14 @@ def _screen_norms(
     # key -1, no halving, takes every point
     halves = [np.flatnonzero(table[k] < ctx.m[k] // 2) for k in range(ctx.level)]
     halves.append(slice(None))
-    # blocks of the bytes that ``_shift_norms`` gathers
-    entries = _BLOCK_ENTRIES * 16 // vals_t.itemsize
-    norms = np.zeros(R * C)
-    for tile_rows, xk, col_groups in tiles:
-        if not any(len(tile_cols) for tile_cols, _ in col_groups):
-            continue
-        xs = halves[xk]
-        plain = vals_t[:, xs]
-        chunk = max(1, entries // plain.size)
-        for start in range(0, len(tile_rows), chunk):
-            rc = tile_rows[start : start + chunk]
-            # (row shift, y, x): one grid per row shift
-            base = np.ascontiguousarray(vals_t[:, row_perms[rc][:, xs]].transpose(1, 0, 2))
-            if kind == "omega12":
-                base -= plain
-            for tile_cols, yk in col_groups:
-                ys = halves[yk]
-                ref = base[:, None, ys] if kind == "omega12" else plain[ys]
-                perms = col_perms[tile_cols][:, ys]
-                block = max(1, entries // (len(rc) * perms.shape[1] * plain.shape[1]))
-                for col in range(0, len(tile_cols), block):
-                    diff = np.take(base, perms[col : col + block], axis=1)
-                    diff -= ref
-                    mags = np.abs(diff).astype(float, copy=False)
-                    at = np.add.outer(rc * C, tile_cols[col : col + block])
-                    norms[at] = _lp_mags(mags, p, axis=(2, 3))
-    return norms[orbit]
+    tiles = [(r, halves[xk], [(c, halves[yk]) for c, yk in groups]) for r, xk, groups in tiles]
+    return _tile_norms(vals_t, kind, p, row_perms, col_perms, tiles, 0.0).ravel()[orbit]
+
+
+def _kept_tiles(keep: np.ndarray):
+    """One tile per row shift with a kept shift: its kept column shifts, every point."""
+    rows = np.flatnonzero(keep.any(axis=1))[:, None]
+    return [(i, slice(None), [(np.flatnonzero(keep[i]), slice(None))]) for i in rows]
 
 
 def _double_shift_modulus(
@@ -425,22 +411,18 @@ def _double_shift_modulus(
 
     For ``total`` the difference is f(x+u, y+v) - f(x, y); for ``omega12``
     it is g(x, y+v) - g(x, y) with the row difference g = f(x+u, y) - f(x, y).
-    At p = inf the maximum over (x, y) and the shifts is a largest distance
-    between points of one coset: of I_level x I_level in f for ``total``,
-    and of I_level2 in a row of g for ``omega12``, a batch of row shifts per
-    call.  At other p every shift is first screened in single precision,
-    and only the shifts that can reach the maximum are computed in double
-    precision.  A shift whose double-precision difference overflows is
-    computed on f divided by a power of two and scaled back, so the result
-    is finite or inf.
+    p = 2 takes Plancherel, p = inf the farthest pairs of cosets, and any
+    other p the screen, then double precision over the kept shifts.
     """
+    if p == 2.0:
+        return _plancherel_modulus(f, kind, level, level2)
     ctx = f.ctx
     if math.isinf(p) and kind == "total":
         A, B = ctx.M[level], ctx.size // ctx.M[level]
         cosets = f.values.reshape(B, A, B, A).transpose(1, 3, 0, 2)
         return _max_pair_distance(cosets.reshape(A * A, B * B))
-    row_perms = translate_ids(ctx, shift_representatives(ctx, level))
     if math.isinf(p):
+        row_perms = translate_ids(ctx, shift_representatives(ctx, level))
         A, B = ctx.M[level2], ctx.size // ctx.M[level2]
         best = 0.0
         # several row shifts per call on small grids, as each call has a fixed cost
@@ -454,7 +436,8 @@ def _double_shift_modulus(
             cosets = rows.reshape(-1, B, A).transpose(0, 2, 1)
             best = _max_pair_distance(cosets.reshape(-1, B), best)
         return best
-    col_perms = translate_ids(ctx, shift_representatives(ctx, level2))
+    rows = _shift_set(ctx, level)
+    cols = rows if level2 == level else _shift_set(ctx, level2)
     terms = 4 if kind == "omega12" else 2
     peak = float(np.max(np.abs(f.values)))
     # a power of two near the peak whose reciprocal is a normal float:
@@ -462,7 +445,7 @@ def _double_shift_modulus(
     scale = math.ldexp(1.0, min(max(math.frexp(peak)[1], -1021), 1021))
     scaled = f.values / scale
     screen_t = np.ascontiguousarray(scaled.T, dtype=np.complex64)
-    estimate = _screen_norms(screen_t, kind, p, ctx, level, level2, row_perms, col_perms)
+    estimate = _screen_norms(screen_t, kind, p, ctx, rows, cols)
     # each single-precision magnitude is within _SCREEN_SLACK times the sum
     # of the ``terms`` |f| values in it, so by Minkowski each estimate is
     # within ``slack`` of the exact norm, and a shift more than twice that
@@ -471,13 +454,13 @@ def _double_shift_modulus(
     keep = ~(estimate < estimate.max() - 2.0 * slack)
     plain_t = np.ascontiguousarray(f.values.T)
     with np.errstate(over="ignore", invalid="ignore"):
-        exact = _shift_norms(plain_t, kind, p, row_perms, col_perms, keep)
+        exact = _tile_norms(plain_t, kind, p, rows[0], cols[0], _kept_tiles(keep), -math.inf)
     # an overflowed difference makes its shift's norm NaN: redo it scaled
     overflowed = np.isnan(exact)
     if not overflowed.any():
         return float(exact.max())
     scaled_t = np.ascontiguousarray(scaled.T)
-    redone = _shift_norms(scaled_t, kind, p, row_perms, col_perms, overflowed)
+    redone = _tile_norms(scaled_t, kind, p, rows[0], cols[0], _kept_tiles(overflowed), -math.inf)
     exact[overflowed] = -math.inf
     return max(float(exact.max()), float(redone.max()) * scale)
 
@@ -512,9 +495,5 @@ def modulus(
         axis = 0 if kind == "omega1" else 1
         value = float(_axis_norms(f, axis, level, [p]).max())
     else:
-        col_level = level if second is None else second
-        if p == 2.0:
-            value = _plancherel_modulus(f, kind, level, col_level)
-        else:
-            value = _double_shift_modulus(f, kind, level, col_level, p)
+        value = _double_shift_modulus(f, kind, level, level if second is None else second, p)
     return ModulusReport(kind, level, second, p, value)

@@ -383,20 +383,28 @@ class TestInfDoubleShift:
     @pytest.mark.parametrize("name", ["circle", "roots4", "near_max_one_sign"])
     def test_small_blocks_keep_the_value(self, monkeypatch, name):
         # blocks smaller than one set's pairs, or than one point against its
-        # set; at finite p one shift per block against all shifts in one
-        ctx = GroupContext((2, 3, 2))
-        f = SampledFunction2D(ctx, adversarial_grids(ctx, 17)[name])
+        # set; at finite p one shift per block against all shifts in one,
+        # and at 2**9 a few row shifts per block; radix 4 halves the points
+        # by a digit with m_k / 2 = 2, and level2 != level gathers columns
+        # from another shift set than rows
+        fs = []
+        for m in ((2, 3, 2), (4, 2, 3)):
+            ctx = GroupContext(m)
+            fs.append(SampledFunction2D(ctx, adversarial_grids(ctx, 17)[name]))
+        # both groups have levels 0..3
+        calls = [(kind, level, None) for kind in ("omega12", "total") for level in range(4)]
+        calls.append(("omega12", 1, 0))
 
         def values():
             return [
-                modulus(f, kind, level, p).value
+                modulus(f, kind, level, p, level2=level2).value
+                for f in fs
                 for p in (math.inf, 1.0, 3.0)
-                for kind in ("omega12", "total")
-                for level in range(ctx.level + 1)
+                for kind, level, level2 in calls
             ]
 
         want = values()
-        for entries in (1, 5, 40):
+        for entries in (1, 5, 40, 2**9):
             monkeypatch.setattr(approx, "_BLOCK_ENTRIES", entries)
             assert values() == want
 
@@ -500,12 +508,22 @@ def screen_tables(f, kind, level, level2, p):
     ctx = f.ctx
     peak = float(np.abs(f.values).max())
     scale = math.ldexp(1.0, math.frexp(peak)[1])
-    screen_t = np.ascontiguousarray((f.values / scale).T, dtype=np.complex64)
+    screen = (f.values / scale).astype(np.complex64)
     rows = translate_ids(ctx, shift_representatives(ctx, level))
     cols = translate_ids(ctx, shift_representatives(ctx, level2))
-    every = np.ones((len(rows), len(cols)), dtype=bool)
-    full = approx._shift_norms(screen_t, kind, p, rows, cols, every)
-    reduced = approx._screen_norms(screen_t, kind, p, ctx, level, level2, rows, cols)
+    # every (u, v) over every point, without symmetry or blocks
+    full = np.empty((len(rows), len(cols)))
+    for i, u in enumerate(rows):
+        for j, v in enumerate(cols):
+            if kind == "total":
+                diff = screen[np.ix_(u, v)] - screen
+            else:
+                row_diff = screen[u] - screen
+                diff = row_diff[:, v] - row_diff
+            full[i, j] = np.mean(np.abs(diff).astype(float) ** p) ** (1.0 / p)
+    screen_t = np.ascontiguousarray(screen.T)
+    shift_sets = [approx._shift_set(ctx, lvl) for lvl in (level, level2)]
+    reduced = approx._screen_norms(screen_t, kind, p, ctx, *shift_sets)
     terms = 4 if kind == "omega12" else 2
     return reduced, full, approx._SCREEN_SLACK * terms * peak / scale
 
@@ -591,6 +609,48 @@ def test_moduli_are_translation_invariant(case):
                 want = modulus(f, kind, level, p).value
                 got = modulus(g, kind, level, p).value
                 assert got == pytest.approx(want, rel=TRANSLATION_REL, abs=0.0), (kind, p, level)
+
+
+@given(translated_grids())
+@settings(max_examples=25, deadline=5000, derandomize=True)
+def test_moduli_swap_with_the_variables(case):
+    # for g(x, y) = f(y, x) a shift of one variable of g is a shift of the
+    # other variable of f, and the mixed double difference is symmetric; the
+    # order of rounding differs, as it does under translation
+    ctx, values, _ = case
+    f, g = SampledFunction2D(ctx, values), SampledFunction2D(ctx, values.T)
+    levels = range(ctx.level + 1)
+    calls = [
+        ((kind_g, level, None), (kind_f, level, None))
+        for kind_g, kind_f in (("omega1", "omega2"), ("omega2", "omega1"), ("total", "total"))
+        for level in levels
+    ]
+    calls += [(("omega12", l1, l2), ("omega12", l2, l1)) for l1 in levels for l2 in levels]
+    for p in (1.0, 2.0, 3.0, math.inf):
+        for (kind_g, lg, lg2), (kind_f, lf, lf2) in calls:
+            got = modulus(g, kind_g, lg, p, level2=lg2).value
+            want = modulus(f, kind_f, lf, p, level2=lf2).value
+            assert got == pytest.approx(want, rel=TRANSLATION_REL, abs=0.0), (kind_g, p, lg, lg2)
+
+
+@pytest.mark.parametrize("m", SCREEN_GROUPS + RADIX4_GROUPS)
+def test_moduli_scale_exactly_with_the_function(m):
+    # doubling is exact, and at these p so is every step after it: the
+    # differences, magnitudes, sums, means and maxima double, and the
+    # power-of-two scales of the screen and of Plancherel double.  p = 3 is
+    # left out: there pow rounds (8 s)**(1/3) and 2 s**(1/3) apart.
+    ctx = GroupContext(m)
+    levels = range(ctx.level + 1)
+    calls = [(kind, level, None) for kind in MODULUS_KINDS for level in levels]
+    calls += [("omega12", l1, l2) for l1 in levels for l2 in levels if l1 != l2]
+    for seed in (23, 24, 25):
+        f = random_grid_2d(ctx, seed)
+        g = SampledFunction2D(ctx, 2.0 * f.values)
+        for p in (1.0, 2.0, math.inf):
+            for kind, level, level2 in calls:
+                got = modulus(g, kind, level, p, level2=level2).value
+                want = 2.0 * modulus(f, kind, level, p, level2=level2).value
+                assert got == want, (seed, kind, p, level, level2)
 
 
 def test_shift_representatives_match_interval_filter(ctx2323):
