@@ -131,6 +131,7 @@ class TestConfig:
         assert cfg.context().m == (2, 3)
         with pytest.raises(ConfigError, match="level"):
             load_config(None, {"m": "2,3", "level": 5})
+        assert main(["check-identities", "--m", "2,3", "--level", "5"]) == 2
 
     def test_json_document(self):
         cfg = load_config(str(DATA / "config_small.json"), {})
@@ -431,6 +432,15 @@ class TestSweep:
         assert (tmp_path / "a.summary.json").read_bytes() == (
             tmp_path / "b.summary.json"
         ).read_bytes()
+
+    def test_mixed_radix_theorem_sweep(self, tmp_path, capsys):
+        # no benchmark workload reaches an odd-radix theorem path; this runs
+        # the mixed-radix band synthesis end to end at M = 216
+        out = tmp_path / "t216.csv"
+        assert main(["sweep", "--m", "2,3,2,3,2,3", "--claims", "theorem1,theorem2",
+                     "--out", str(out)]) == 0
+        assert f"2340 rows (0 errored) -> {out}" in capsys.readouterr().out
+        assert len(read_rows(out)) == 2340
 
     def test_cap_file_controls_exit(self, tmp_path):
         loose = tmp_path / "loose.json"

@@ -3,12 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from conftest import random_grid_2d
 from oracles import full_grid_synthesis, pointwise_lemma4_values
+from test_approx import TRANSLATION_REL, translated_grids
 from vilenkin import (
     GroupContext,
     ResolutionExceededError,
+    SampledFunction2D,
     dirichlet_table,
     eq23_report,
     lemma1_report,
@@ -19,6 +22,7 @@ from vilenkin import (
     tail_decompose,
     theorem_reports,
 )
+from vilenkin.cli import theorem2_orders
 from vilenkin.verify import (
     FunctionFamily,
     _grid_mean,
@@ -218,6 +222,17 @@ class TestLemma1:
             quad, line = lemma1_report(ctx, coeffs)
             assert quad.ratio <= 1.0
             assert line.ratio <= 0.6
+
+    @pytest.mark.parametrize("m", [(2, 3, 2, 3), (5, 7), (2,) * 6, (4,) * 5, (3, 3, 2)])
+    def test_scales_exactly_with_the_coefficients(self, m):
+        # doubling is exact through the products, sums, means and square root
+        ctx = GroupContext(m)
+        rng = np.random.default_rng(26)
+        for n in dict.fromkeys((1, 2, 3, ctx.M[1], ctx.size // 2 + 1, ctx.size)):
+            c = rng.standard_normal(n)
+            for got, want in zip(lemma1_report(ctx, 2 * c), lemma1_report(ctx, c)):
+                assert (got.claim, got.lhs, got.rhs) == (want.claim, 2 * want.lhs, 2 * want.rhs)
+                assert got.ratio == want.ratio, (got.claim, n)
 
 
 class TestLemma4:
@@ -490,6 +505,55 @@ class TestTheoremReports:
             scale = 1.0 if r.claim == "theorem1" else log_factor(r.n)
             assert r.rhs == _modulus_rhs(ctx2323, r.k, r.alpha, scale, omega[r.p])
         assert theorem_reports(f, alphas, ps) == []
+
+
+def every_theorem_report(f, ps=(1.0, 2.0, 3.0, math.inf)):
+    ctx = f.ctx
+    return theorem_reports(f, (0.1, 0.5, 0.9), ps, levels=range(1, ctx.level + 1),
+                           orders=theorem2_orders(ctx))
+
+
+def assert_same_sides(got, want):
+    for g, w in zip(got, want):
+        case = (g.claim, g.alpha, g.p, g.k, g.n)
+        assert g.lhs == pytest.approx(w.lhs, rel=TRANSLATION_REL, abs=0.0), case
+        assert g.rhs == pytest.approx(w.rhs, rel=TRANSLATION_REL, abs=0.0), case
+
+
+class TestTheoremRelations:
+    """Metamorphic relations: inputs whose theorem reports are known from f's."""
+
+    @given(translated_grids())
+    @settings(max_examples=25, deadline=5000, derandomize=True)
+    def test_translation_keeps_both_sides(self, case):
+        # the Cesaro mean commutes with translation, and the norms and moduli
+        # are translation invariant; only the order of rounding differs
+        ctx, values, shifted = case
+        got = every_theorem_report(SampledFunction2D(ctx, shifted))
+        assert_same_sides(got, every_theorem_report(SampledFunction2D(ctx, values)))
+
+    @given(translated_grids())
+    @settings(max_examples=25, deadline=5000, derandomize=True)
+    def test_swap_keeps_both_sides(self, case):
+        # the multiplier depends on max(k1, k2), and omega1 and omega2
+        # exchange inside the bound side's sum omega1 + omega2
+        ctx, values, _ = case
+        got = every_theorem_report(SampledFunction2D(ctx, values.T))
+        assert_same_sides(got, every_theorem_report(SampledFunction2D(ctx, values)))
+
+    @pytest.mark.parametrize("m", [(2, 3, 2, 3), (5, 7), (2,) * 6])
+    def test_doubling_is_exact(self, m):
+        # every step is linear or positively homogeneous and exact under
+        # doubling at these p; p = 3 is left out, where pow rounds
+        ctx = GroupContext(m)
+        f = random_grid_2d(ctx, 96)
+        ps = (1.0, 2.0, math.inf)
+        doubled = every_theorem_report(SampledFunction2D(ctx, 2.0 * f.values), ps)
+        plain = every_theorem_report(f, ps)
+        for got, want in zip(doubled, plain):
+            case = (got.claim, got.alpha, got.p, got.k, got.n)
+            assert (got.lhs, got.rhs) == (2.0 * want.lhs, 2.0 * want.rhs), case
+            assert got.ratio == want.ratio, case
 
 
 class TestFunctionFamilies:
