@@ -60,9 +60,12 @@ several row shifts at once, and each shift's magnitudes are reduced in
 float64 over their own contiguous (y, x) block, so a shift's norm does not
 depend on the other shifts of its block, and the maximum keeps the bits of
 computing every shift.  When every shift ties, as for a constant, the
-screen keeps them all and its cost comes on top of the full pass.  A shift
-whose difference overflows is computed on the scaled copy in double
-precision and scaled back, so the result is finite or inf.
+screen keeps them all and its cost comes on top of the full pass.
+
+Overflow has one rule.  A modulus, and both sides of a theorem report, are
+homogeneous of degree 1 in f, so a grid whose peak |f| reaches ``_SAFE_PEAK``
+runs on f / 2^k, 2^k the smallest power of two that brings the peak below
+it, and its values (not a ratio) are multiplied by 2^k: finite or inf.
 """
 
 from __future__ import annotations
@@ -98,6 +101,21 @@ MODULUS_KINDS = ("omega1", "omega2", "omega12", "total")
 # Smallest normal float: a mean of |v|^p below it has lost significant bits.
 _TINY = float(np.finfo(float).tiny)
 _EPS = float(np.finfo(float).eps)
+
+# Peak |f| from which a grid is scaled down.  A coefficient is at most the peak,
+# a Cesaro weight below 2^20 (``cesaro_weights(1024, 0.999)``: 2^19.95), a
+# transform or L1 mean sums M_N^2 <= 2^20 terms and sigma_n f - f doubles: no sum,
+# the moduli's included, exceeds 2^61 peaks, and 2^960 = 2^1024 / 2^64 is safe.
+_SAFE_PEAK = 2.0**960
+
+
+def _safe_scaled(f: SampledFunction2D) -> tuple[SampledFunction2D, float]:
+    """``(f, 1.0)``, or ``(f / 2^k, 2^k)`` when f peaks at or above ``_SAFE_PEAK``."""
+    peak = float(np.max(np.abs(f.values)))
+    if peak < _SAFE_PEAK:
+        return f, 1.0
+    scale = math.ldexp(1.0, math.frexp(peak / _SAFE_PEAK)[1])
+    return SampledFunction2D(f.ctx, f.values / scale), scale
 
 
 def _lp_mags(mags: np.ndarray, p: float, axis=None):
@@ -273,22 +291,18 @@ def _max_pair_distance(sets: np.ndarray, floor: float = 0.0) -> float:
     subnormals.  The kept points of each set are paired in blocks of at
     most ``_BLOCK_ENTRIES`` entries, one point against its set once a set
     is larger.  Every pair is evaluated as abs(a - b), so the maximum has
-    the bits of enumerating all pairs.  A non-finite centroid, radius or
-    bound compares false and keeps the whole set.  The points are finite,
-    so a pair distance is finite or inf, and an inf is returned at once.
-    So is the pre-pass maximum when no set has more than two points.
+    the bits of enumerating all pairs.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        radius = np.abs(sets - sets.mean(axis=1, keepdims=True))
-        rows = np.arange(len(sets))
-        far = np.argmax(radius, axis=1)
-        rho = radius[rows, far]
-        best = max(floor, float(np.abs(sets - sets[rows, far][:, None]).max()))
-        # with at most two points a set's only pair has been formed
-        if best == math.inf or sets.shape[1] <= 2:
-            return best
-        bound = best * (1.0 - _PRUNE_SLACK) - rho * (1.0 + _PRUNE_SLACK) - _TINY
-        keep = ~(radius < bound[:, None])
+    radius = np.abs(sets - sets.mean(axis=1, keepdims=True))
+    rows = np.arange(len(sets))
+    far = np.argmax(radius, axis=1)
+    rho = radius[rows, far]
+    best = max(floor, float(np.abs(sets - sets[rows, far][:, None]).max()))
+    # with at most two points a set's only pair has been formed
+    if sets.shape[1] <= 2:
+        return best
+    bound = best * (1.0 - _PRUNE_SLACK) - rho * (1.0 + _PRUNE_SLACK) - _TINY
+    keep = radius >= bound[:, None]
     counts = keep.sum(axis=1)
     order = np.argsort(-counts, kind="stable")
     order = order[counts[order] > 1]
@@ -302,8 +316,7 @@ def _max_pair_distance(sets: np.ndarray, floor: float = 0.0) -> float:
         points = np.take_along_axis(sets[chunk], kept_first, axis=1)
         step = max(1, _BLOCK_ENTRIES // (len(chunk) * k))
         for i in range(0, k, step):
-            with np.errstate(over="ignore"):
-                diff = points[:, i : i + step, None] - points[:, None, :]
+            diff = points[:, i : i + step, None] - points[:, None, :]
             best = max(best, float(np.abs(diff).max()))
     return best
 
@@ -428,11 +441,7 @@ def _double_shift_modulus(
         # several row shifts per call on small grids, as each call has a fixed cost
         batch = max(1, _BLOCK_ENTRIES // ctx.size**2)
         for start in range(0, len(row_perms), batch):
-            with np.errstate(over="ignore"):
-                rows = f.values[row_perms[start : start + batch]] - f.values
-            if not np.isfinite(rows).all():
-                # an overflowed row difference leaves no double difference to take
-                return math.nan
+            rows = f.values[row_perms[start : start + batch]] - f.values
             cosets = rows.reshape(-1, B, A).transpose(0, 2, 1)
             best = _max_pair_distance(cosets.reshape(-1, B), best)
         return best
@@ -440,29 +449,18 @@ def _double_shift_modulus(
     cols = rows if level2 == level else _shift_set(ctx, level2)
     terms = 4 if kind == "omega12" else 2
     peak = float(np.max(np.abs(f.values)))
-    # a power of two near the peak whose reciprocal is a normal float:
-    # dividing by it is exact above the subnormals
-    scale = math.ldexp(1.0, min(max(math.frexp(peak)[1], -1021), 1021))
-    scaled = f.values / scale
-    screen_t = np.ascontiguousarray(scaled.T, dtype=np.complex64)
+    # a power of two near the peak, >= 2^-1021: exact to divide by above the subnormals
+    scale = math.ldexp(1.0, max(math.frexp(peak)[1], -1021))
+    screen_t = np.ascontiguousarray((f.values / scale).T, dtype=np.complex64)
     estimate = _screen_norms(screen_t, kind, p, ctx, rows, cols)
     # each single-precision magnitude is within _SCREEN_SLACK times the sum
     # of the ``terms`` |f| values in it, so by Minkowski each estimate is
     # within ``slack`` of the exact norm, and a shift more than twice that
     # below the largest estimate cannot reach the maximum
     slack = _SCREEN_SLACK * terms * peak / scale
-    keep = ~(estimate < estimate.max() - 2.0 * slack)
+    tiles = _kept_tiles(~(estimate < estimate.max() - 2.0 * slack))
     plain_t = np.ascontiguousarray(f.values.T)
-    with np.errstate(over="ignore", invalid="ignore"):
-        exact = _tile_norms(plain_t, kind, p, rows[0], cols[0], _kept_tiles(keep), -math.inf)
-    # an overflowed difference makes its shift's norm NaN: redo it scaled
-    overflowed = np.isnan(exact)
-    if not overflowed.any():
-        return float(exact.max())
-    scaled_t = np.ascontiguousarray(scaled.T)
-    redone = _tile_norms(scaled_t, kind, p, rows[0], cols[0], _kept_tiles(overflowed), -math.inf)
-    exact[overflowed] = -math.inf
-    return max(float(exact.max()), float(redone.max()) * scale)
+    return float(_tile_norms(plain_t, kind, p, rows[0], cols[0], tiles, -math.inf).max())
 
 
 def modulus(
@@ -491,9 +489,10 @@ def modulus(
         second = level if level2 is None else _check_index(level2, 0, f.ctx.level, "level")
     p = _check_p(p)
 
+    f, scale = _safe_scaled(f)
     if kind in ("omega1", "omega2"):
         axis = 0 if kind == "omega1" else 1
         value = float(_axis_norms(f, axis, level, [p]).max())
     else:
         value = _double_shift_modulus(f, kind, level, level if second is None else second, p)
-    return ModulusReport(kind, level, second, p, value)
+    return ModulusReport(kind, level, second, p, value * scale)

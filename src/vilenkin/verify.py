@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .approx import _axis_norms, _check_alpha, _check_p, cesaro_mean, lp_norm
+from .approx import _axis_norms, _check_alpha, _check_p, _lp_mags, _safe_scaled, cesaro_mean
 from .group import GroupContext, _band_level, _check_index, digit_table, index_expand
 from .kernels import _check_cap, cesaro_numbers, dirichlet_table, psi_values
 from .transform import (
@@ -193,12 +193,6 @@ def parse_family(text: str) -> FunctionFamily:
 # weighted Dirichlet kernel integrals
 
 
-def _dirichlet_rows(ctx: GroupContext, n: int) -> np.ndarray:
-    """D_1..D_n on every cell, one row per kernel."""
-    n = _check_index(n, 1, ctx.size, "kernel length")
-    return dirichlet_table(ctx)[1 : n + 1]
-
-
 def _kernel_weights(alpha: float, terms: int, p: int) -> np.ndarray:
     """A_{p-i}^{-alpha-1} for i = 1..terms, the weight of D_i at order p."""
     return cesaro_numbers(-_check_alpha(alpha) - 1.0, p - 1)[p - np.arange(1, terms + 1)]
@@ -251,7 +245,7 @@ def _kernel_integrals(ctx: GroupContext, coeffs: np.ndarray) -> tuple[float, flo
     """
     period = ctx.M[_band_level(ctx, len(coeffs))]
     reps = ctx.size // period
-    rows = _dirichlet_rows(ctx, len(coeffs))[:, :period]
+    rows = dirichlet_table(ctx)[1 : len(coeffs) + 1, :period]
     weighted = coeffs[:, None] * rows
     quad = np.abs(weighted.T @ rows)
     line = np.abs(coeffs @ rows)
@@ -334,7 +328,7 @@ def eq23_profile(ctx: GroupContext, alpha: float, n: int) -> np.ndarray:
     """
     n = _check_index(n, 1, ctx.size - 1, "order")
     alpha = float(alpha)
-    line = _kernel_weights(alpha, n, n) @ _dirichlet_rows(ctx, n)
+    line = _kernel_weights(alpha, n, n) @ dirichlet_table(ctx)[1 : n + 1]
     profile = np.abs(line) * _cell_norms(ctx) ** (1.0 - alpha)
     profile[0] = 0.0
     return profile
@@ -376,7 +370,8 @@ def theorem_reports(
     order) whatever p, and per modulus kind one table of single-shift norms
     over every p and every shift of I_0; level r is the max over the columns
     ``::M_r``.  Reports are ordered by alpha, then theorem 1 levels and
-    theorem 2 orders as given, then p.
+    theorem 2 orders as given, then p.  A grid that peaks at or above
+    ``approx._SAFE_PEAK`` is scaled first.
     """
     ctx = f.ctx
     cases = []
@@ -392,13 +387,14 @@ def theorem_reports(
     if not (cases and alphas and ps):
         return []
 
+    f, factor = _safe_scaled(f)
     spectrum = fvt_forward_2d(f)
     lhs = {}
     for alpha in alphas:
         for order in dict.fromkeys(case[3] for case in cases):
-            error = cesaro_mean(spectrum, order, alpha) - f
+            mags = np.abs((cesaro_mean(spectrum, order, alpha) - f).values)
             for p in ps:
-                lhs[alpha, order, p] = lp_norm(error, p)
+                lhs[alpha, order, p] = _lp_mags(mags, p)
     top = max(case[1] for case in cases)
     w1, w2 = (_axis_norms(f, axis, 0, ps) for axis in (0, 1))
     omega = {p: [float(w1[i, ::ctx.M[r]].max()) + float(w2[i, ::ctx.M[r]].max())
@@ -411,8 +407,8 @@ def theorem_reports(
                 left = lhs[alpha, order, p]
                 rhs = _modulus_rhs(ctx, k, alpha, scale, omega[p])
                 reports.append(RatioReport(
-                    claim=claim, alpha=alpha, p=p, k=k, n=n, lhs=left, rhs=rhs,
-                    ratio=_ratio(left, rhs),
+                    claim=claim, alpha=alpha, p=p, k=k, n=n, lhs=left * factor,
+                    rhs=rhs * factor, ratio=_ratio(left, rhs),
                 ))
     return reports
 

@@ -197,6 +197,34 @@ class TestCesaroMean:
             cesaro_mean(grid, 4, 0.0)
 
 
+def near_overflow_grids():
+    """Grids at and around the peak from which the library scales f down first."""
+    rng = np.random.default_rng(21)
+    ctx64, ctx232 = GroupContext((2,) * 6), GroupContext((2, 3, 2))
+    # the transform's and centroid sums overflow, the differences do not
+    one_sign = rng.uniform(1.0, 1.7, (64, 64)) * 1e305 + 0j
+    # the differences overflow
+    both_signs = rng.choice([-1.0, 1.0], (12, 12)) * 1.7e308 + 0j
+    at_peak = rng.uniform(1.0, 1.7, (64, 64)) * 2.0**959 + 0j
+    below_peak = at_peak.copy()
+    at_peak[0, 0] = approx._SAFE_PEAK
+    below_peak[0, 0] = np.nextafter(approx._SAFE_PEAK, 0.0)
+    return {
+        "one_sign_1e305": SampledFunction2D(ctx64, one_sign),
+        "both_signs_max": SampledFunction2D(ctx232, both_signs),
+        "at_safe_peak": SampledFunction2D(ctx64, at_peak),
+        "below_safe_peak": SampledFunction2D(ctx64, below_peak),
+    }
+
+
+def scaled_below_safe_peak(f):
+    """k and f * 2**-k, with k the least that brings the peak |f| below _SAFE_PEAK."""
+    k = 0
+    while np.abs(f.values).max() * 2.0**-k >= approx._SAFE_PEAK:
+        k += 1
+    return k, SampledFunction2D(f.ctx, f.values * 2.0**-k)
+
+
 class TestModulus:
     def test_constant_function(self):
         # radix 5 has inexact roots of unity, so its transform of a constant
@@ -209,15 +237,29 @@ class TestModulus:
                         for p in P_GRID:
                             assert modulus(f, kind, level, p).value == 0.0
 
-    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e305])
     def test_scale_covariant_at_extreme_magnitudes(self, ctx232, scale):
-        # |v|^p overflows or underflows at these scales for every finite p > 1
+        # |v|^p overflows or underflows at these scales for every finite p > 1;
+        # at 1e305 the grid peaks above _SAFE_PEAK and is scaled down first
         f = random_grid_2d(ctx232, 11)
         g = SampledFunction2D(ctx232, f.values * scale)
         for kind in MODULUS_KINDS:
             for p in P_GRID + (3.0,):
                 want = modulus(f, kind, 1, p).value * scale
                 assert modulus(g, kind, 1, p).value == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("name", list(near_overflow_grids()))
+    def test_near_overflow_grids(self, name):
+        # no sum overflows on f * 2**-k, and every modulus is homogeneous of
+        # degree 1; scaling by a power of two is exact but for pow at p = 3
+        f = near_overflow_grids()[name]
+        k, scaled = scaled_below_safe_peak(f)
+        for kind in MODULUS_KINDS:
+            for p in P_GRID + (3.0,):
+                got = modulus(f, kind, 0, p).value
+                assert not math.isnan(got) and got > 0.0, (kind, p)
+                if p != 3.0:
+                    assert got == 2.0**k * modulus(scaled, kind, 0, p).value, (kind, p)
 
     def test_indicator_example(self, ctx23):
         f = indicator_cell_function(ctx23)
@@ -360,8 +402,7 @@ class TestInfDoubleShift:
         ctx = GroupContext(m)
         for name, values in adversarial_grids(ctx, 15).items():
             if name.startswith("near_max"):
-                # the oracle's partial sums overflow, or the library's row
-                # differences do (see the next test)
+                # the oracle's partial sums overflow (see the next test)
                 continue
             f = SampledFunction2D(ctx, values)
             # the oracle's four-term sum rounds at the scale of the values
@@ -374,10 +415,12 @@ class TestInfDoubleShift:
             if name == "half_max_both_signs":
                 assert modulus(f, "omega12", 0, math.inf).value == math.inf
 
-    def test_omega12_overflowed_row_difference_is_nan(self, ctx232):
-        values = adversarial_grids(ctx232, 16)["near_max_both_signs"]
-        f = SampledFunction2D(ctx232, values)
-        assert math.isnan(modulus(f, "omega12", 0, math.inf).value)
+    def test_omega12_overflowed_row_difference_is_inf(self, ctx232):
+        # the row differences of f overflow, those of f * 2**-k do not
+        f = SampledFunction2D(ctx232, adversarial_grids(ctx232, 16)["near_max_both_signs"])
+        k, scaled = scaled_below_safe_peak(f)
+        got = modulus(f, "omega12", 0, math.inf).value
+        assert got == 2.0**k * modulus(scaled, "omega12", 0, math.inf).value == math.inf
         assert modulus(f, "omega12", ctx232.level, math.inf).value == 0.0
 
     @pytest.mark.parametrize("name", ["circle", "roots4", "near_max_one_sign"])

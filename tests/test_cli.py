@@ -524,9 +524,9 @@ class TestSweep:
     def test_nan_ratio_breaches_cap(self, tmp_path, monkeypatch):
         # a NaN lhs on the p = 1e6 rows gives NaN ratios after finite p = 2
         # ratios; the max over the claim must not drop them
-        exact = verify.lp_norm
+        exact = verify._lp_mags
         monkeypatch.setattr(
-            verify, "lp_norm", lambda f, p: math.nan if p == 1e6 else exact(f, p)
+            verify, "_lp_mags", lambda mags, p: math.nan if p == 1e6 else exact(mags, p)
         )
         caps = tmp_path / "caps.json"
         caps.write_text(json.dumps({"theorem1": 1.0}), encoding="utf-8")

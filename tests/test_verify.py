@@ -7,7 +7,12 @@ from hypothesis import given, settings
 
 from conftest import random_grid_2d
 from oracles import full_grid_synthesis, pointwise_lemma4_values
-from test_approx import TRANSLATION_REL, translated_grids
+from test_approx import (
+    TRANSLATION_REL,
+    near_overflow_grids,
+    scaled_below_safe_peak,
+    translated_grids,
+)
 from vilenkin import (
     GroupContext,
     ResolutionExceededError,
@@ -554,6 +559,20 @@ class TestTheoremRelations:
             case = (got.claim, got.alpha, got.p, got.k, got.n)
             assert (got.lhs, got.rhs) == (2.0 * want.lhs, 2.0 * want.rhs), case
             assert got.ratio == want.ratio, case
+
+    @pytest.mark.parametrize("name", ["one_sign_1e305", "at_safe_peak", "below_safe_peak"])
+    def test_near_overflow_scales_exactly(self, name):
+        # both sides are homogeneous of degree 1, and f * 2**-k overflows no sum
+        f = near_overflow_grids()[name]
+        k, scaled = scaled_below_safe_peak(f)
+        reports = every_theorem_report(f)
+        want = every_theorem_report(scaled)
+        for got, low in zip(reports, want):
+            case = (got.claim, got.alpha, got.p, got.k, got.n)
+            assert not any(map(math.isnan, (got.lhs, got.rhs, got.ratio))), case
+            if got.p != 3.0:
+                assert (got.lhs, got.rhs) == (2.0**k * low.lhs, 2.0**k * low.rhs), case
+                assert got.ratio == low.ratio, case
 
 
 class TestFunctionFamilies:
