@@ -62,10 +62,8 @@ depend on the other shifts of its block, and the maximum keeps the bits of
 computing every shift.  When every shift ties, as for a constant, the
 screen keeps them all and its cost comes on top of the full pass.
 
-Overflow has one rule.  A modulus, and both sides of a theorem report, are
-homogeneous of degree 1 in f, so a grid whose peak |f| reaches ``_SAFE_PEAK``
-runs on f / 2^k, 2^k the smallest power of two that brings the peak below
-it, and its values (not a ratio) are multiplied by 2^k: finite or inf.
+A modulus takes the overflow rule of ``transform``: a grid that peaks at or
+above ``_SAFE_PEAK`` runs on f / 2^k, and its value is multiplied by 2^k.
 """
 
 from __future__ import annotations
@@ -80,7 +78,9 @@ from .kernels import cesaro_numbers
 from .transform import (
     SampledFunction2D,
     SpectralGrid2D,
+    _SAFE_PEAK,
     _band_synthesis,
+    _safe_scaled,
     fvt_forward_2d,
     fvt_inverse_2d,
 )
@@ -101,21 +101,6 @@ MODULUS_KINDS = ("omega1", "omega2", "omega12", "total")
 # Smallest normal float: a mean of |v|^p below it has lost significant bits.
 _TINY = float(np.finfo(float).tiny)
 _EPS = float(np.finfo(float).eps)
-
-# Peak |f| from which a grid is scaled down.  A coefficient is at most the peak,
-# a Cesaro weight below 2^20 (``cesaro_weights(1024, 0.999)``: 2^19.95), a
-# transform or L1 mean sums M_N^2 <= 2^20 terms and sigma_n f - f doubles: no sum,
-# the moduli's included, exceeds 2^61 peaks, and 2^960 = 2^1024 / 2^64 is safe.
-_SAFE_PEAK = 2.0**960
-
-
-def _safe_scaled(f: SampledFunction2D) -> tuple[SampledFunction2D, float]:
-    """``(f, 1.0)``, or ``(f / 2^k, 2^k)`` when f peaks at or above ``_SAFE_PEAK``."""
-    peak = float(np.max(np.abs(f.values)))
-    if peak < _SAFE_PEAK:
-        return f, 1.0
-    scale = math.ldexp(1.0, math.frexp(peak / _SAFE_PEAK)[1])
-    return SampledFunction2D(f.ctx, f.values / scale), scale
 
 
 def _lp_mags(mags: np.ndarray, p: float, axis=None):

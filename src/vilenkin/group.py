@@ -74,18 +74,6 @@ class GroupContext:
         object.__setattr__(self, "m", gens)
         object.__setattr__(self, "M", tuple(scale))
 
-    @classmethod
-    def from_string(cls, text: str) -> "GroupContext":
-        """Parse a comma-separated generator list such as ``"2,3,2,3"``."""
-        parts = [chunk.strip() for chunk in text.split(",") if chunk.strip()]
-        if not parts:
-            raise ValueError("empty generator sequence")
-        try:
-            gens = tuple(int(p) for p in parts)
-        except ValueError as exc:
-            raise ValueError(f"bad generator list {text!r}") from exc
-        return cls(gens)
-
     @property
     def level(self) -> int:
         """Truncation level N (number of retained coordinates)."""

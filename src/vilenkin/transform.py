@@ -18,10 +18,20 @@ M_j x M_j grid of ``ctx.truncate(j)`` and tiled back: partial sums, Cesaro
 means and ``random_poly`` families pay for M_j^2 cells, not M_N^2.  The tile
 is made column-major, so the tiled grid has the full synthesis's layout as
 well as its bits.
+
+Overflow has one rule.  The forward transforms, a modulus and both sides of
+a theorem report are homogeneous of degree 1 in f, so a grid whose peak |f|
+reaches ``_SAFE_PEAK`` runs on f / 2^k, 2^k the smallest power of two that
+brings the peak below it, and its values (not a ratio) are multiplied by
+2^k.  A coefficient never exceeds the peak, so the spectrum of a finite grid
+is finite; a modulus or a report value is finite or inf.  Syntheses, Cesaro
+means and partial sums included, raise ``ValueError`` when their values leave
+the float range.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +116,23 @@ class SpectralGrid2D(_GridBase):
     _ndim, _cap = 2, MAX_CELLS_2D
 
 
+# Peak |f| from which a grid is scaled down.  A coefficient is at most the peak,
+# a Cesaro weight below 2^20 (``cesaro_weights(1024, 0.999)``: 2^19.95), a
+# transform or L1 mean sums M_N^2 <= 2^20 terms and sigma_n f - f doubles: no sum,
+# the moduli's included, exceeds 2^61 peaks, and 2^960 = 2^1024 / 2^64 is safe.
+_SAFE_PEAK = 2.0**960
+
+
+def _safe_scaled(f: _GridBase) -> tuple[_GridBase, float]:
+    """``(f, 1.0)``, or ``(f / 2^k, 2^k)`` when f peaks at or above ``_SAFE_PEAK``."""
+    # halved, since |v| of a finite complex v can exceed the float range
+    half_peak = float(np.max(np.abs(f.values * 0.5)))
+    if half_peak < _SAFE_PEAK / 2:
+        return f, 1.0
+    scale = math.ldexp(1.0, math.frexp(half_peak / (_SAFE_PEAK / 2))[1])
+    return type(f)(f.ctx, f.values / scale), scale
+
+
 def _decimate(
     ctx: GroupContext, values: np.ndarray, sign: int, axis: int = -1
 ) -> np.ndarray:
@@ -134,8 +161,9 @@ def _decimate_2d(ctx: GroupContext, values: np.ndarray, sign: int) -> np.ndarray
 
 def fvt_forward(f: SampledFunction1D) -> SpectralGrid1D:
     """Coefficients f_hat(k) = (1/M_N) sum_x f(x) * conj(psi_k(x))."""
-    coeffs = _decimate(f.ctx, f.values, -1) / f.ctx.size
-    return SpectralGrid1D(f.ctx, coeffs)
+    scaled, scale = _safe_scaled(f)
+    coeffs = _decimate(f.ctx, scaled.values, -1) / f.ctx.size
+    return SpectralGrid1D(f.ctx, coeffs * scale)
 
 
 def fvt_inverse(grid: SpectralGrid1D) -> SampledFunction1D:
@@ -145,8 +173,9 @@ def fvt_inverse(grid: SpectralGrid1D) -> SampledFunction1D:
 
 def fvt_forward_2d(f: SampledFunction2D) -> SpectralGrid2D:
     """Axis-wise 2D analysis with 1/M_N^2 normalization."""
-    coeffs = _decimate_2d(f.ctx, f.values, -1) / f.ctx.size**2
-    return SpectralGrid2D(f.ctx, coeffs)
+    scaled, scale = _safe_scaled(f)
+    coeffs = _decimate_2d(f.ctx, scaled.values, -1) / f.ctx.size**2
+    return SpectralGrid2D(f.ctx, coeffs * scale)
 
 
 def fvt_inverse_2d(grid: SpectralGrid2D) -> SampledFunction2D:

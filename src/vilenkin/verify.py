@@ -18,13 +18,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .approx import _axis_norms, _check_alpha, _check_p, _lp_mags, _safe_scaled, cesaro_mean
+from .approx import _axis_norms, _check_alpha, _check_p, _lp_mags, cesaro_mean
 from .group import GroupContext, _band_level, _check_index, digit_table, index_expand
 from .kernels import _check_cap, cesaro_numbers, dirichlet_table, psi_values
 from .transform import (
     MAX_CELLS_2D,
     SampledFunction2D,
     _band_synthesis,
+    _safe_scaled,
     fvt_forward_2d,
 )
 
@@ -202,12 +203,6 @@ def _kernel_weights(alpha: float, terms: int, p: int) -> np.ndarray:
 # with eight running accumulators rather than split further.
 _PAIRWISE_LEAF = 128
 
-# numpy 2.3 rewrote the buffering of reductions, so a contiguous float64
-# array is summed as one pairwise tree.  Before it, an inner loop stopped at
-# the 8192-entry buffer and the chunk sums were added one after another,
-# which repeated identical halves do not reproduce.
-_WHOLE_ARRAY_PAIRWISE = np.lib.NumpyVersion(np.__version__) >= "2.3.0"
-
 
 def _grid_mean(block: np.ndarray, reps: int) -> float:
     """``np.mean(np.tile(block, (reps,) * block.ndim))``, bit for bit.
@@ -223,13 +218,12 @@ def _grid_mean(block: np.ndarray, reps: int) -> float:
     the full tile is the mean of the smallest contiguous tile that the tree
     repeats: P rows of max(P, 128) entries, or, when a leaf holds several
     rows (M_N < 128), as many row copies as fill one leaf; never more than
-    the full tile.  Other sides tile in full, and so does every side on
-    numpy < 2.3, which does not sum a large array as one tree.
+    the full tile.  Other sides tile in full.
     """
     period = block.shape[0]
     size = period * reps
     copies = [reps] * block.ndim
-    if _WHOLE_ARRAY_PAIRWISE and size & (size - 1) == 0:
+    if size & (size - 1) == 0:
         copies[-1] = min(reps, max(1, _PAIRWISE_LEAF // period))
         if block.ndim == 2:
             copies[0] = min(reps, max(period, _PAIRWISE_LEAF // size) // period)
@@ -370,8 +364,8 @@ def theorem_reports(
     order) whatever p, and per modulus kind one table of single-shift norms
     over every p and every shift of I_0; level r is the max over the columns
     ``::M_r``.  Reports are ordered by alpha, then theorem 1 levels and
-    theorem 2 orders as given, then p.  A grid that peaks at or above
-    ``approx._SAFE_PEAK`` is scaled first.
+    theorem 2 orders as given, then p.  Both sides follow the overflow rule
+    of ``transform``.
     """
     ctx = f.ctx
     cases = []

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import random_grid_2d
 from oracles import brute_modulus, direct_cesaro_mean, direct_cesaro_weights, full_grid_synthesis
 from vilenkin import (
+    FunctionFamily,
     GroupContext,
     ResolutionExceededError,
     SampledFunction2D,
@@ -294,14 +295,22 @@ class TestModulus:
 
     @pytest.mark.parametrize("m", [(2, 3, 2), (2, 3, 2, 3), (2, 2, 2, 2), (3, 3, 2)])
     def test_matches_brute_force(self, m):
+        # single shifts, and total at p = inf, keep the oracle's bits; the other
+        # double-shift values sum in another order
         ctx = GroupContext(m)
-        f = random_grid_2d(ctx, 9)
-        for kind in MODULUS_KINDS:
-            for level in range(ctx.level + 1):
-                for p in P_GRID + (1.5, 3.0):
-                    fast = modulus(f, kind, level, p).value
-                    slow = brute_modulus(ctx, f.values, kind, level, p)
-                    assert abs(fast - slow) <= 1e-12
+        # row-major cell values, and a column-major synthesis
+        poly = FunctionFamily("random_poly", (ctx.size // 2, 9)).build(ctx)
+        assert poly.values.flags.f_contiguous and not poly.values.flags.c_contiguous
+        for f in (random_grid_2d(ctx, 9), poly):
+            for kind in MODULUS_KINDS:
+                for level in range(ctx.level + 1):
+                    for p in P_GRID + (1.5, 3.0):
+                        fast = modulus(f, kind, level, p).value
+                        slow = brute_modulus(ctx, f.values, kind, level, p)
+                        if kind in ("omega1", "omega2") or (kind, p) == ("total", math.inf):
+                            assert fast == slow, (kind, level, p)
+                        else:
+                            assert abs(fast - slow) <= 1e-12, (kind, level, p)
 
     def test_mixed_levels_differ(self, ctx232):
         f = random_grid_2d(ctx232, 10)

@@ -40,14 +40,6 @@ class TestContext:
         with pytest.raises(ValueError):
             GroupContext(bad)
 
-    def test_from_string(self):
-        assert GroupContext.from_string("2,3,2,3").m == (2, 3, 2, 3)
-        assert GroupContext.from_string(" 2 , 2 ").m == (2, 2)
-        with pytest.raises(ValueError):
-            GroupContext.from_string("")
-        with pytest.raises(ValueError):
-            GroupContext.from_string("2,x")
-
     def test_truncate(self):
         ctx = GroupContext((2, 3, 2, 3))
         assert ctx.truncate(2).m == (2, 3)

@@ -66,6 +66,31 @@ def test_constant_gives_exact_delta(ctx2323):
     assert np.all(coeffs[1:] == 0.0)
 
 
+# The sums of these grids overflow, and |1e308 + 1e308j| does too, yet each
+# part is finite; f / 2^k sums exactly.
+@pytest.mark.parametrize("value", [1e307, 1e308 + 1e308j])
+def test_forward_2d_of_near_overflow_constant_is_exact(value):
+    ctx = GroupContext((2,) * 6)
+    coeffs = fvt_forward_2d(SampledFunction2D(ctx, np.full((64, 64), value))).values
+    assert coeffs[0, 0] == value
+    assert np.count_nonzero(coeffs) == 1
+
+
+def test_forward_1d_of_near_overflow_constant_is_exact():
+    ctx = GroupContext((2,) * 6)
+    coeffs = fvt_forward(SampledFunction1D(ctx, np.full(64, 1.7e308))).values
+    assert coeffs[0] == 1.7e308
+    assert np.count_nonzero(coeffs) == 1
+
+
+def test_synthesis_beyond_float_range_raises():
+    # a synthesis is not scaled: its values can exceed the float range
+    ctx = GroupContext((2,) * 6)
+    grid = SpectralGrid2D(ctx, np.full((64, 64), 1e305))
+    with pytest.raises(ValueError, match="finite"):
+        partial_sum_rect(grid, 64, 64)
+
+
 def test_character_gives_unit_coefficient(ctx232):
     for a in (0, 1, 5, 11):
         f = SampledFunction1D(ctx232, psi_values(ctx232, a))
@@ -241,18 +266,6 @@ class TestMarginalSums:
 
 
 class TestGridTypes:
-    def test_shape_mismatch(self, ctx232):
-        with pytest.raises(ValueError):
-            SampledFunction1D(ctx232, np.ones(5))
-        with pytest.raises(ValueError):
-            SampledFunction2D(ctx232, np.ones(ctx232.size))
-
-    def test_nonfinite_rejected(self, ctx232):
-        values = np.ones(ctx232.size, dtype=complex)
-        values[3] = np.nan
-        with pytest.raises(ValueError):
-            SampledFunction1D(ctx232, values)
-
     def test_resolution_caps(self):
         big = GroupContext((2,) * 11)
         SampledFunction1D(big, np.ones(big.size))
@@ -264,14 +277,6 @@ class TestGridTypes:
         g = SampledFunction1D(ctx232, np.ones(ctx232.size))
         with pytest.raises(ValueError):
             _ = f - g
-
-    def test_values_are_insulated_copies(self, ctx23):
-        source = np.ones(ctx23.size, dtype=complex)
-        f = SampledFunction1D(ctx23, source)
-        source[0] = 5.0
-        assert f.values[0] == 1.0
-        with pytest.raises(ValueError):
-            f.values[0] = 2.0
 
     @pytest.mark.parametrize("cls, ndim", GRID_TYPES)
     def test_wrong_shape_rejected(self, ctx232, cls, ndim):

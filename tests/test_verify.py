@@ -130,16 +130,6 @@ class TestGridMean:
                 reps = size // period
                 assert _grid_mean(block, reps) == tiled_mean(block, reps), (period, i)
 
-    def test_tiles_in_full_without_one_summation_tree(self, monkeypatch):
-        # numpy < 2.3 adds 8192-entry chunk sums one after another
-        monkeypatch.setattr("vilenkin.verify._WHOLE_ARRAY_PAIRWISE", False)
-        shapes = []
-        tile = np.tile
-        monkeypatch.setattr(np, "tile", lambda a, reps: shapes.append(tuple(reps)) or tile(a, reps))
-        block = grid_blocks(4, 0)[0]
-        assert _grid_mean(block, 64) == tiled_mean(block, 64)
-        assert shapes == [(64, 64), (64, 64)]
-
     @pytest.mark.parametrize(
         "m", [(2, 3, 2, 3), (3,) * 5, (2, 2, 3), (4, 2, 5)], ids=["2323", "3^5", "223", "425"]
     )
