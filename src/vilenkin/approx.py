@@ -16,9 +16,12 @@ single-shift kinds form each shifted difference once and reduce it for every
 p; since I_r holds every M_r-th shift of I_0, one level-0 table of these
 norms gives every level.  The double-shift kinds (``omega12``, ``total``)
 enumerate no column shift at p = inf or p = 2.  At p = inf the maximum over
-shifts and cells is the largest distance between two values of one coset:
-of I_r x I_r in f for ``total``, and of I_level2 in a row of the row
-difference for ``omega12``.  A farthest-pair search pairs only the points
+shifts and cells is the largest distance between two points of one coset,
+read from one reshape of f into the cosets of I_level x I_level2: for
+``total`` the points are the values of f, and for ``omega12`` the row
+differences f(x', y) - f(x, y) of two rows x != x' of one I_level coset,
+each unordered pair of rows once, as the reversed pair negates every
+difference exactly.  A farthest-pair search pairs only the points
 that the triangle inequality cannot rule out, and takes the same
 abs(a - b) as a full enumeration, so the maximum keeps its bits.  At
 p = 2, by Plancherel,
@@ -237,18 +240,13 @@ def _plancherel_modulus(f: SampledFunction2D, kind: str, level: int, level2: int
     if total <= (2 * sum(ctx.m) * _EPS) ** 2 * full:
         return 0.0
     gram = fvt_inverse_2d(SpectralGrid2D(ctx, power)).values.real
-    rows = shift_representatives(ctx, level)
-    cols = shift_representatives(ctx, level2)
+    # G at the shifts of I_level x I_level2
+    g = gram[:: ctx.M[level], :: ctx.M[level2]]
     if kind == "total":
-        sq = 2.0 * total - 2.0 * gram[np.ix_(rows, cols)]
+        sq = 2.0 * total - 2.0 * g
     else:
-        sq = (
-            4.0 * total
-            - 4.0 * gram[rows, 0][:, None]
-            - 4.0 * gram[0, cols][None, :]
-            + 2.0 * gram[np.ix_(rows, cols)]
-            + 2.0 * gram[np.ix_(rows, _negate_ids(ctx, cols))]
-        )
+        neg = _negate_ids(ctx, shift_representatives(ctx, level2)) // ctx.M[level2]
+        sq = 4.0 * total - 4.0 * g[:, :1] - 4.0 * g[:1, :] + 2.0 * g + 2.0 * g[:, neg]
     return math.sqrt(max(float(sq.max()), 0.0)) * scale
 
 
@@ -319,10 +317,8 @@ def _shift_set(ctx: GroupContext, level: int):
     return translate_ids(ctx, ids), neg, half
 
 
-def _tile_norms(
-    vals_t: np.ndarray, kind: str, p: float, row_perms, col_perms, tiles, fill: float
-) -> np.ndarray:
-    """Lp norm of the double difference at each shift of ``tiles``, else ``fill``.
+def _tile_norms(vals_t: np.ndarray, kind: str, p: float, row_perms, col_perms, tiles) -> np.ndarray:
+    """Lp norm of the double difference at each shift of ``tiles``, else 0.0.
 
     A tile is (row shifts, x points, [(column shifts, y points), ...]), the
     shifts as positions in ``row_perms`` and ``col_perms``.  ``vals_t`` is
@@ -331,7 +327,7 @@ def _tile_norms(
     which are reduced in float64.
     """
     C = len(col_perms)
-    norms = np.full(len(row_perms) * C, fill)
+    norms = np.zeros(len(row_perms) * C)
     # blocks of the same bytes at either precision
     entries = _BLOCK_ENTRIES * 16 // vals_t.itemsize
     for tile_rows, xs, col_groups in tiles:
@@ -393,7 +389,7 @@ def _screen_norms(vals_t: np.ndarray, kind: str, p: float, ctx: GroupContext, ro
     halves = [np.flatnonzero(table[k] < ctx.m[k] // 2) for k in range(ctx.level)]
     halves.append(slice(None))
     tiles = [(r, halves[xk], [(c, halves[yk]) for c, yk in groups]) for r, xk, groups in tiles]
-    return _tile_norms(vals_t, kind, p, row_perms, col_perms, tiles, 0.0).ravel()[orbit]
+    return _tile_norms(vals_t, kind, p, row_perms, col_perms, tiles).ravel()[orbit]
 
 
 def _kept_tiles(keep: np.ndarray):
@@ -409,26 +405,27 @@ def _double_shift_modulus(
 
     For ``total`` the difference is f(x+u, y+v) - f(x, y); for ``omega12``
     it is g(x, y+v) - g(x, y) with the row difference g = f(x+u, y) - f(x, y).
-    p = 2 takes Plancherel, p = inf the farthest pairs of cosets, and any
+    p = 2 takes Plancherel; p = inf the farthest pairs within the cosets of
+    I_level x I_level2, of f for ``total`` and, for ``omega12``, of the
+    differences of each unordered pair of rows of one I_level coset; any
     other p the screen, then double precision over the kept shifts.
     """
     if p == 2.0:
         return _plancherel_modulus(f, kind, level, level2)
     ctx = f.ctx
-    if math.isinf(p) and kind == "total":
-        A, B = ctx.M[level], ctx.size // ctx.M[level]
-        cosets = f.values.reshape(B, A, B, A).transpose(1, 3, 0, 2)
-        return _max_pair_distance(cosets.reshape(A * A, B * B))
     if math.isinf(p):
-        row_perms = translate_ids(ctx, shift_representatives(ctx, level))
-        A, B = ctx.M[level2], ctx.size // ctx.M[level2]
+        A, A2 = ctx.M[level], ctx.M[level2]
+        B, B2 = ctx.size // A, ctx.size // A2
+        # (x coset, y coset, x point, y point)
+        cosets = f.values.reshape(B, A, B2, A2).transpose(1, 3, 0, 2)
+        if kind == "total":
+            return _max_pair_distance(cosets.reshape(A * A2, B * B2))
         best = 0.0
-        # several row shifts per call on small grids, as each call has a fixed cost
-        batch = max(1, _BLOCK_ENTRIES // ctx.size**2)
-        for start in range(0, len(row_perms), batch):
-            rows = f.values[row_perms[start : start + batch]] - f.values
-            cosets = rows.reshape(-1, B, A).transpose(0, 2, 1)
-            best = _max_pair_distance(cosets.reshape(-1, B), best)
+        # row a against every later row of its coset: the earlier rows' pairs
+        # negate these differences, which have the same distances
+        for a in range(B - 1):
+            diff = cosets[:, :, a + 1 :] - cosets[:, :, a : a + 1]
+            best = _max_pair_distance(diff.reshape(-1, B2), best)
         return best
     rows = _shift_set(ctx, level)
     cols = rows if level2 == level else _shift_set(ctx, level2)
@@ -445,7 +442,7 @@ def _double_shift_modulus(
     slack = _SCREEN_SLACK * terms * peak / scale
     tiles = _kept_tiles(~(estimate < estimate.max() - 2.0 * slack))
     plain_t = np.ascontiguousarray(f.values.T)
-    return float(_tile_norms(plain_t, kind, p, rows[0], cols[0], tiles, -math.inf).max())
+    return float(_tile_norms(plain_t, kind, p, rows[0], cols[0], tiles).max())
 
 
 def modulus(

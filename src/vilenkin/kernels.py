@@ -202,18 +202,12 @@ def compensated_cumsum(values: np.ndarray) -> np.ndarray:
     cancellation to spoil a 1e-12 recurrence check near n = 10^4; the
     compensated version keeps every prefix accurate to a few ulps.
     """
-    out = np.empty(len(values), dtype=np.float64)
-    total = 0.0
-    comp = 0.0
-    for i, v in enumerate(np.asarray(values, dtype=np.float64)):
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-        out[i] = total + comp
-    return out
+    v = np.asarray(values, dtype=np.float64)
+    # np.cumsum adds in sequence, as a running total does
+    total = np.cumsum(v)
+    prev = np.concatenate(([0.0], total[:-1]))
+    err = np.where(np.abs(prev) >= np.abs(v), (prev - total) + v, (v - total) + prev)
+    return total + np.cumsum(err)
 
 
 def lemma2_check(ctx: GroupContext, s: int, n_s: int) -> np.ndarray:

@@ -3,8 +3,9 @@
 Each oracle deliberately avoids the library code path it checks: transforms
 are plain character-matrix sums, moduli enumerate shifts by literal element
 arithmetic, the gamma function is a standalone Lanczos evaluation, the
-telescoped Cesaro sums are re-done term by term in 80-bit precision, and the
-weighted kernel integral of Lemma 4 is rebuilt from pointwise Dirichlet sums.
+telescoped Cesaro sums are re-done term by term in 80-bit precision, the
+weighted kernel integral of Lemma 4 is rebuilt from pointwise Dirichlet sums,
+and compensated prefix sums run one element at a time.
 """
 
 from __future__ import annotations
@@ -112,6 +113,21 @@ def brute_modulus(
     return best
 
 
+def brute_inf_omega12(ctx: GroupContext, values: np.ndarray, level: int, level2: int) -> float:
+    """p = inf mixed modulus as the max over every (u, v) of |g(x, y+v) - g(x, y)|.
+
+    g = f(x+u, y) - f(x, y) is the row difference; the double difference is
+    taken from g in two subtractions, as the library's farthest-pair search
+    takes it, so the two maxima have the same bits.
+    """
+    best = 0.0
+    for pu in brute_shift_perms(ctx, level):
+        g = values[pu, :] - values
+        for pv in brute_shift_perms(ctx, level2):
+            best = max(best, float(np.abs(g[:, pv] - g).max()))
+    return best
+
+
 # Lanczos approximation (g = 7, 9 terms), written against the published
 # coefficients; the only stdlib calls are sqrt/exp/pow/sin.
 _LANCZOS_G = 7.0
@@ -197,3 +213,19 @@ def direct_cesaro_mean(grid: SpectralGrid2D, n: int, alpha: float) -> np.ndarray
     for j in range(1, n + 1):
         acc = acc + weights[n - j] * partial_sum_rect(grid, j, j).values
     return acc / denominator
+
+
+def loop_compensated_cumsum(values: np.ndarray) -> np.ndarray:
+    """Neumaier-compensated prefix sums, one running total per element."""
+    out = np.empty(len(values), dtype=np.float64)
+    total = 0.0
+    comp = 0.0
+    for i, v in enumerate(np.asarray(values, dtype=np.float64)):
+        t = total + v
+        if abs(total) >= abs(v):
+            comp += (total - t) + v
+        else:
+            comp += (v - t) + total
+        total = t
+        out[i] = total + comp
+    return out

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_grid_2d
-from oracles import brute_modulus, direct_cesaro_mean, direct_cesaro_weights, full_grid_synthesis
+from oracles import (
+    brute_inf_omega12,
+    brute_modulus,
+    direct_cesaro_mean,
+    direct_cesaro_weights,
+    full_grid_synthesis,
+)
 from vilenkin import (
     FunctionFamily,
     GroupContext,
@@ -395,6 +401,18 @@ class TestInfDoubleShift:
                 slow = brute_modulus(ctx, f.values, "omega12", level, math.inf, level2)
                 assert abs(fast - slow) <= 1e-12
 
+    @pytest.mark.parametrize("m", INF_GROUPS)
+    def test_omega12_equals_its_expression(self, m):
+        # row-major cell values, and a column-major synthesis
+        ctx = GroupContext(m)
+        poly = FunctionFamily("random_poly", (ctx.size // 2, 11)).build(ctx)
+        assert poly.values.flags.f_contiguous and not poly.values.flags.c_contiguous
+        for f in (random_grid_2d(ctx, 19), poly):
+            for level in range(ctx.level + 1):
+                for level2 in range(ctx.level + 1):
+                    fast = modulus(f, "omega12", level, math.inf, level2=level2).value
+                    assert fast == brute_inf_omega12(ctx, f.values, level, level2), (level, level2)
+
     @pytest.mark.parametrize("m", [(2, 3, 2), (5, 7)])
     def test_total_adversarial_inputs(self, m):
         ctx = GroupContext(m)
@@ -465,8 +483,8 @@ class TestInfDoubleShift:
 
         Enumerating every shifted difference would form 216**4 (about 2.2e9)
         of them for level-0 `total`.  On a 2-core Xeon these 14 calls took
-        0.44-0.45 s, and 20.4-20.7 s with every point kept (`_PRUNE_SLACK =
-        inf`): a fallback to all pairs costs tier-1 about 20 s.
+        0.16-0.18 s, and 13.8 s with every point kept (`_PRUNE_SLACK =
+        inf`): a fallback to all pairs costs tier-1 about 14 s.
         """
         ctx = GroupContext((2, 3, 2, 3, 2, 3))
         f = random_grid_2d(ctx, 0)

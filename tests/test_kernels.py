@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import lanczos_gamma
+from oracles import lanczos_gamma, loop_compensated_cumsum
 from vilenkin import (
     GroupContext,
     ResolutionExceededError,
@@ -209,6 +209,17 @@ class TestCesaroNumbers:
         out = compensated_cumsum(values)
         for idx in (0, 13, 499):
             assert out[idx] == pytest.approx(math.fsum(values[: idx + 1]), rel=1e-15)
+
+    def test_compensated_cumsum_keeps_the_loops_bits(self):
+        rng = np.random.default_rng(6)
+        mixed = rng.standard_normal(500) * rng.choice([1e-8, 1.0, 1e8], 500)
+        zeros = rng.choice([0.0, -0.0, 1.0, -1.0, 1e-300], 300)
+        inputs = [mixed, zeros, -zeros, np.full(7, -0.0), np.array([-0.0, 0.0, -0.0]), np.empty(0)]
+        # the prefix sums behind eq2_residual
+        inputs += [cesaro_numbers(beta - 1.0, 10_000) for beta in (0.5, -0.5, -1.5, -2.9)]
+        for values in inputs:
+            got = compensated_cumsum(values).view(np.int64)
+            assert np.array_equal(got, loop_compensated_cumsum(values).view(np.int64))
 
 
 def reflection_residual(ctx, s, n_s, j):
