@@ -81,11 +81,10 @@ from .kernels import cesaro_numbers
 from .transform import (
     SampledFunction2D,
     SpectralGrid2D,
-    _SAFE_PEAK,
     _band_synthesis,
+    _decimate_2d,
     _safe_scaled,
     fvt_forward_2d,
-    fvt_inverse_2d,
 )
 
 __all__ = [
@@ -239,7 +238,7 @@ def _plancherel_modulus(f: SampledFunction2D, kind: str, level: int, level2: int
     total = power.sum()
     if total <= (2 * sum(ctx.m) * _EPS) ** 2 * full:
         return 0.0
-    gram = fvt_inverse_2d(SpectralGrid2D(ctx, power)).values.real
+    gram = _decimate_2d(ctx, power, 1).real
     # G at the shifts of I_level x I_level2
     g = gram[:: ctx.M[level], :: ctx.M[level2]]
     if kind == "total":

@@ -309,9 +309,7 @@ def theorem2_orders(ctx: GroupContext) -> tuple[int, ...]:
     orders = set()
     for k in range(1, ctx.level):
         lo, hi = ctx.M[k], ctx.M[k + 1]
-        for n in (lo, (lo + hi) // 2, hi - 1):
-            if n >= 2 and n >= ctx.M[1]:
-                orders.add(n)
+        orders.update((lo, (lo + hi) // 2, hi - 1))
     return tuple(sorted(orders))
 
 
@@ -321,10 +319,8 @@ def lemma5_orders(ctx: GroupContext) -> tuple[int, ...]:
         return tuple(range(2, ctx.size))
     orders = set()
     for k in range(1, ctx.level):
-        lo, hi = ctx.M[k], min(ctx.M[k + 1], ctx.size)
-        for n in (lo, lo + 1, (lo + hi) // 2, hi - 1):
-            if 2 <= n < ctx.size:
-                orders.add(n)
+        lo, hi = ctx.M[k], ctx.M[k + 1]
+        orders.update((lo, lo + 1, (lo + hi) // 2, hi - 1))
     return tuple(sorted(orders))
 
 

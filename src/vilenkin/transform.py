@@ -14,7 +14,7 @@ in memory order, and the last bits of reported values depend on it.
 A spectrum that vanishes outside its leading n x n block has period M_j in
 both variables, M_j the smallest scale >= n, since characters below M_j see
 only the low j digits of a cell id.  Such a spectrum is synthesised on the
-M_j x M_j grid of ``ctx.truncate(j)`` and tiled back: partial sums, Cesaro
+grid of ``ctx.truncate(max(j, 1))`` and tiled back: partial sums, Cesaro
 means and ``random_poly`` families pay for M_j^2 cells, not M_N^2.  The tile
 is made column-major, so the tiled grid has the full synthesis's layout as
 well as its bits.
@@ -187,23 +187,21 @@ def _band_synthesis(ctx: GroupContext, coeffs: np.ndarray) -> SampledFunction2D:
     """Synthesis of a spectrum that is ``coeffs`` at the low corner and 0 elsewhere.
 
     With n the larger side of ``coeffs`` and M_j the smallest scale >= n, the
-    result has period M_j in both variables: it is synthesised on the M_j x M_j
-    grid of ``ctx.truncate(j)`` and tiled back.  The sums are bit for bit
-    those of the full grid, since the stages of digits t >= j see only index
-    digit 0 and pass each value through times 1.  The full grid is used when
-    j = 0, which has no truncated group, or j = N.
+    result has period M_j in both variables: it is synthesised on the grid of
+    ``ctx.truncate(max(j, 1))`` and tiled back (one tile at j = N).  The sums
+    are bit for bit those of the full grid, since the stages of digits t >= j
+    see only index digit 0 and pass each value through times 1; at j = 0 the
+    band is at most the (0, 0) coefficient, and the digit-0 stage is one of
+    those.
     """
-    j = _band_level(ctx, max(coeffs.shape))
-    sub = ctx if j in (0, ctx.level) else ctx.truncate(j)
+    sub = ctx.truncate(max(_band_level(ctx, max(coeffs.shape)), 1))
     padded = np.zeros((sub.size, sub.size), dtype=np.complex128)
     padded[: coeffs.shape[0], : coeffs.shape[1]] = coeffs
-    out = fvt_inverse_2d(SpectralGrid2D(sub, padded))
-    if sub is ctx:
-        return out
+    out = _decimate_2d(sub, padded, 1)
     reps = ctx.size // sub.size
     # Column-major like the full synthesis, as norms reduce in memory order: the
     # transpose of the column-major result is row-major, and so is its tile.
-    return SampledFunction2D(ctx, np.tile(out.values.T, (reps, reps)).T)
+    return SampledFunction2D(ctx, np.tile(out.T, (reps, reps)).T)
 
 
 def partial_sum_rect(grid: SpectralGrid2D, n1: int, n2: int) -> SampledFunction2D:

@@ -386,7 +386,7 @@ def theorem_reports(
     lhs = {}
     for alpha in alphas:
         for order in dict.fromkeys(case[3] for case in cases):
-            mags = np.abs((cesaro_mean(spectrum, order, alpha) - f).values)
+            mags = np.abs(cesaro_mean(spectrum, order, alpha).values - f.values)
             for p in ps:
                 lhs[alpha, order, p] = _lp_mags(mags, p)
     top = max(case[1] for case in cases)

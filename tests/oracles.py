@@ -41,11 +41,6 @@ def full_grid_synthesis(ctx: GroupContext, coeffs: np.ndarray) -> np.ndarray:
     return fvt_inverse_2d(SpectralGrid2D(ctx, padded)).values
 
 
-def naive_inverse_1d(ctx: GroupContext, coeffs: np.ndarray) -> np.ndarray:
-    chars = character_table(ctx)
-    return chars.T @ coeffs
-
-
 def block_average(ctx: GroupContext, values: np.ndarray, k: int) -> np.ndarray:
     """Conditional expectation of a 2D grid on level-k cell pairs.
 

@@ -27,7 +27,7 @@ from vilenkin import (
     modulus,
     psi_values,
 )
-from vilenkin import approx
+from vilenkin import approx, transform
 from vilenkin.approx import MODULUS_KINDS, shift_representatives
 from vilenkin.group import in_interval, cell_enumerate, cell_id, translate_ids
 
@@ -214,8 +214,8 @@ def near_overflow_grids():
     both_signs = rng.choice([-1.0, 1.0], (12, 12)) * 1.7e308 + 0j
     at_peak = rng.uniform(1.0, 1.7, (64, 64)) * 2.0**959 + 0j
     below_peak = at_peak.copy()
-    at_peak[0, 0] = approx._SAFE_PEAK
-    below_peak[0, 0] = np.nextafter(approx._SAFE_PEAK, 0.0)
+    at_peak[0, 0] = transform._SAFE_PEAK
+    below_peak[0, 0] = np.nextafter(transform._SAFE_PEAK, 0.0)
     return {
         "one_sign_1e305": SampledFunction2D(ctx64, one_sign),
         "both_signs_max": SampledFunction2D(ctx232, both_signs),
@@ -227,7 +227,7 @@ def near_overflow_grids():
 def scaled_below_safe_peak(f):
     """k and f * 2**-k, with k the least that brings the peak |f| below _SAFE_PEAK."""
     k = 0
-    while np.abs(f.values).max() * 2.0**-k >= approx._SAFE_PEAK:
+    while np.abs(f.values).max() * 2.0**-k >= transform._SAFE_PEAK:
         k += 1
     return k, SampledFunction2D(f.ctx, f.values * 2.0**-k)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from vilenkin import cli, verify
+from vilenkin import GroupContext, cli, verify
 from vilenkin.cli import (
     ConfigError,
     RunConfig,
@@ -221,6 +221,8 @@ class TestConfig:
         ("verify", {}, ["--level", "2.5"], "field 'level': expected an integer, got '2.5'",
          None),
         ("verify", {}, ["--jobs", "x"], "field 'jobs': expected an integer, got 'x'", None),
+        ("verify", {"alpha": 0.5}, [], "field 'alpha': expected a list, got 0.5", None),
+        ("verify", {}, ["--p", "abc"], "field 'p': bad value 'abc'", None),
         ("verify", {"alpha": [0.5, 0.25, 0.5]}, [], None, ("alpha", (0.5, 0.25))),
         ("verify", {}, ["--p", "2,inf,2.0,infinity"], None, ("p", (2.0, math.inf))),
         ("verify", {}, ["--claims", "lemma5,eq23,lemma5"], None,
@@ -260,9 +262,12 @@ class TestCheckIdentities:
         assert {"eq1", "eq2", "eq3", "eq4", "lemma2", "eq20", "eq20b"} <= names
         assert "0 failures" in capsys.readouterr().out
 
-    def test_config_error_exit_code(self, tmp_path):
+    def test_config_error_exit_code(self, tmp_path, capsys):
         assert main(["check-identities", "--alpha", "1.0"]) == 2
         assert main(["check-identities", "--m", ""]) == 2
+        assert main(["check-identities", "--m", "2,3",
+                     "--out", str(tmp_path / "missing" / "ids.csv")]) == 2
+        assert "configuration error: cannot write output: " in capsys.readouterr().err
 
     def test_nan_residual_shows_in_printed_max(self, tmp_path, monkeypatch, capsys):
         exact = cli.eq1_residual
@@ -387,6 +392,16 @@ class TestVerify:
         assert all(float(r["lhs"]) == 0.0 and float(r["ratio"]) == 0.0 for r in rows)
 
 
+class TestOrderGrids:
+    # a low, low + 1, middle and high order inside each block [M_k, M_{k+1})
+    @pytest.mark.parametrize("m, orders", (
+        ((4,) * 5, (4, 5, 10, 15, 16, 17, 40, 63, 64, 65, 160, 255, 256, 257, 640, 1023)),
+        ((2, 3, 2, 3, 2), (2, 3, 4, 5, 6, 7, 9, 11, 12, 13, 24, 35, 36, 37, 54, 71)),
+    ))
+    def test_lemma5_orders_sample_each_block_of_a_large_group(self, m, orders):
+        assert cli.lemma5_orders(GroupContext(m)) == orders
+
+
 class TestSweep:
     def test_summary_structure(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -455,6 +470,16 @@ class TestSweep:
                             "--cap-file", str(loose)]) == 0
         assert main(base + ["--out", str(tmp_path / "t.csv"),
                             "--cap-file", str(tight)]) == 1
+
+    def test_caps_on_claims_and_alphas_not_run_are_skipped(self, tmp_path):
+        caps = tmp_path / "caps.json"
+        caps.write_text(json.dumps({"lemma5": 1.0, "lemma4": {"0.5": 100}}),
+                        encoding="utf-8")
+        code = main([
+            "verify", "--m", "2,3", "--claims", "lemma4", "--alpha", "0.5,0.9",
+            "--out", str(tmp_path / "r.csv"), "--cap-file", str(caps),
+        ])
+        assert code == 0
 
     def test_cap_key_matches_alpha_by_value(self, tmp_path):
         # the summary key for 0.1 is "0.10000000000000001"; "0.1" must still apply

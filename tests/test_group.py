@@ -247,6 +247,8 @@ class TestCells:
             shift = cells[u]
             expected = [cell_id(ctx232, add(ctx232, x, shift)) for x in cells]
             assert perm.tolist() == expected
+        by_element = translate_ids(ctx232, ctx232.element((1, 2, 0)))
+        assert by_element.tolist() == translate_ids(ctx232, 5).tolist()
 
     def test_translate_rows_per_shift(self, ctx232):
         shifts = np.array([0, 1, 5, 11])

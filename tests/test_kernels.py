@@ -193,6 +193,10 @@ class TestCesaroNumbers:
         with pytest.raises(ValueError):
             cesaro_numbers(0.5, -1)
 
+    def test_non_finite_exponent_refused(self):
+        with pytest.raises(ValueError, match="exponent must be finite, got inf"):
+            cesaro_numbers(math.inf, 3)
+
     def test_read_only(self):
         table = cesaro_numbers(-0.5, 8)
         with pytest.raises(ValueError):
