@@ -221,8 +221,6 @@ class TestConfig:
         ("verify", {}, ["--level", "2.5"], "field 'level': expected an integer, got '2.5'",
          None),
         ("verify", {}, ["--jobs", "x"], "field 'jobs': expected an integer, got 'x'", None),
-        ("verify", {"alpha": 0.5}, [], "field 'alpha': expected a list, got 0.5", None),
-        ("verify", {}, ["--p", "abc"], "field 'p': bad value 'abc'", None),
         ("verify", {"alpha": [0.5, 0.25, 0.5]}, [], None, ("alpha", (0.5, 0.25))),
         ("verify", {}, ["--p", "2,inf,2.0,infinity"], None, ("p", (2.0, math.inf))),
         ("verify", {}, ["--claims", "lemma5,eq23,lemma5"], None,
@@ -231,6 +229,8 @@ class TestConfig:
          ("families", ("character(1,1)",))),
         ("verify", {}, ["--families", "character(1, 1)"], None,
          ("families", ("character(1,1)",))),
+        ("verify", {"alpha": 0.5}, [], "field 'alpha': expected a list, got 0.5", None),
+        ("verify", {}, ["--p", "abc"], "field 'p': bad value 'abc'", None),
     ))
     def test_list_and_path_rule(self, tmp_path, monkeypatch, capsys,
                                 command, doc, flags, error, stored):
