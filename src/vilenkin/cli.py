@@ -146,15 +146,11 @@ def _setting(default, parse: Callable, help: str):
 
 @dataclass
 class RunConfig:
-    """One run's settings; each field is also the flag and JSON field of its name.
-
-    ``m`` and ``level`` are checked together by ``context``.
-    """
+    """One run's settings; each field is also the flag and JSON field of its name."""
 
     m: tuple[int, ...] = _setting(
-        (2, 3, 2, 3), lambda v: tuple(_parse_int(g) for g in _items(v)),
+        (2, 3, 2, 3), lambda v: GroupContext(tuple(_parse_int(g) for g in _items(v))).m,
         "comma-separated generator sequence, e.g. 2,3,2,3")
-    level: int | None = _setting(None, _parse_int, "truncation level (defaults to len(m))")
     alpha: tuple[float, ...] = _setting(
         (0.1, 0.5, 0.9), lambda v: _unique(v, lambda x: _check_alpha(_float(x))),
         "comma-separated alpha list in (0,1)")
@@ -170,18 +166,6 @@ class RunConfig:
     jobs: int = _setting(1, lambda v: _check_index(_parse_int(v), 1, None, "jobs"),
                          "parallel workers")
     cap_file: str | None = _setting(None, _string, "JSON ratio caps per claim/alpha")
-
-    def context(self) -> GroupContext:
-        try:
-            ctx = GroupContext(self.m)
-        except ValueError as exc:
-            raise ConfigError(f"field 'm': {exc}") from exc
-        if self.level is None:
-            return ctx
-        try:
-            return ctx.truncate(self.level)
-        except ValueError as exc:
-            raise ConfigError(f"field 'level': {exc}") from exc
 
 
 def _read_object(path: str, what: str) -> dict:
@@ -223,9 +207,7 @@ def load_config(config_path: str | None, overrides: dict, *,
             values[name] = settings[name].metadata["parse"](value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"field {name!r}: {exc}") from exc
-    cfg = RunConfig(**values)
-    cfg.context()
-    return cfg
+    return RunConfig(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +383,7 @@ def _reports(result) -> list[RatioReport]:
 
 def compute_rows(cfg: RunConfig) -> list[RatioReport]:
     """All report rows for a configuration, canonically sorted."""
-    ctx = cfg.context()
+    ctx = GroupContext(cfg.m)
     tasks = _claim_tasks(cfg, ctx)
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -430,7 +412,7 @@ def summarize(cfg: RunConfig, rows: Sequence[RatioReport]) -> dict:
             if matching:
                 per_alpha[_fmt(alpha)] = _max_keeping_nan(matching)
         summary[claim] = per_alpha
-    summary["system"] = "dyadic" if all(v == 2 for v in cfg.context().m) else "vilenkin"
+    summary["system"] = "dyadic" if all(v == 2 for v in cfg.m) else "vilenkin"
     return summary
 
 
@@ -543,7 +525,7 @@ def identity_checks(cfg: RunConfig, ctx: GroupContext) -> list[tuple[str, str, f
 
 
 def cmd_check_identities(cfg: RunConfig) -> int:
-    ctx = cfg.context()
+    ctx = GroupContext(cfg.m)
     checks = identity_checks(cfg, ctx)
     rows = [(name, params, residual, tol, "pass" if residual <= tol else "FAIL")
             for name, params, residual, tol in checks]

@@ -2,15 +2,18 @@
 
 Each oracle deliberately avoids the library code path it checks: transforms
 are plain character-matrix sums, moduli enumerate shifts by literal element
-arithmetic, the gamma function is a standalone Lanczos evaluation, the
-telescoped Cesaro sums are re-done term by term in 80-bit precision, the
-weighted kernel integral of Lemma 4 is rebuilt from pointwise Dirichlet sums,
-and compensated prefix sums run one element at a time.
+arithmetic (or, for a character, take a closed form over exact phases), the
+gamma function is a standalone Lanczos evaluation, the telescoped Cesaro sums
+are re-done term by term in 80-bit precision, the weighted kernel integral of
+Lemma 4 is rebuilt from pointwise Dirichlet sums, and compensated prefix sums
+run one element at a time.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -106,6 +109,56 @@ def brute_modulus(
     else:
         raise ValueError(f"unknown kind {kind!r}")
     return best
+
+
+def _character_phases(m: tuple[int, ...], n: int, level: int) -> list[Fraction]:
+    """psi_n(u) = exp(2 pi i t) for each u in I_level, as the exact t in [0, 1).
+
+    n's mixed-radix digits n_k (least significant first) pair with the
+    digits u_k of u, which are 0 below ``level`` and free from it on:
+    t = sum_k n_k u_k / m_k mod 1.
+    """
+    digits = []
+    for mk in m:
+        n, d = divmod(n, mk)
+        digits.append(d)
+    free = [range(mk) if k >= level else (0,) for k, mk in enumerate(m)]
+    return [sum((Fraction(d * uk, mk) for d, uk, mk in zip(digits, u, m)), Fraction(0)) % 1
+            for u in product(*free)]
+
+
+def _chord(t: Fraction) -> float:
+    """|exp(2 pi i t) - 1| for t in [0, 1)."""
+    return 2.0 * math.sin(math.pi * float(t))
+
+
+def character_modulus(
+    m: tuple[int, ...],
+    a: int,
+    b: int,
+    kind: str,
+    level: int,
+    level2: int | None = None,
+) -> float:
+    """The modulus of f = psi_a(x) psi_b(y) in closed form, the same at every p.
+
+    psi_a(x + u) = psi_a(x) psi_a(u) and |f| = 1, so each difference of f is f
+    times a constant, and its L^p norm is that constant's modulus: the sup of
+    |psi_a(u) - 1| over I_level for omega1, of |psi_b(v) - 1| for omega2, the
+    product of the two (v over I_level2) for omega12, and of
+    |psi_a(u) psi_b(v) - 1| over u, v in I_level for total.
+    """
+    first = _character_phases(m, a, level)
+    second = _character_phases(m, b, level if level2 is None else level2)
+    if kind == "omega1":
+        return max(map(_chord, first))
+    if kind == "omega2":
+        return max(map(_chord, second))
+    if kind == "omega12":
+        return max(map(_chord, first)) * max(map(_chord, second))
+    if kind == "total":
+        return max(_chord((s + t) % 1) for s in first for t in second)
+    raise ValueError(f"unknown kind {kind!r}")
 
 
 def brute_inf_omega12(ctx: GroupContext, values: np.ndarray, level: int, level2: int) -> float:

@@ -10,9 +10,11 @@ from conftest import random_grid_2d
 from oracles import (
     brute_inf_omega12,
     brute_modulus,
+    character_modulus,
     direct_cesaro_mean,
     direct_cesaro_weights,
     full_grid_synthesis,
+    longdouble_cesaro,
 )
 from vilenkin import (
     FunctionFamily,
@@ -145,6 +147,19 @@ class TestCesaroMean:
         )
         out = cesaro_mean(fvt_forward_2d(f), 4, 0.5)
         assert np.max(np.abs(out.values - 1.2 * f.values)) < 1e-12
+
+    @pytest.mark.parametrize("a, b, n, alpha", ((3, 700, 1000, 0.5), (1023, 0, 1023, 0.9)))
+    def test_character_scaled_at_the_2d_cap(self, a, b, n, alpha):
+        # sigma_n(psi_a (x) psi_b) = w psi_a (x) psi_b with c = max(a, b) and
+        # w = A_{n-1-c}^{-alpha} / A_{n-1}^{-alpha} for c < n, else w = 0
+        ctx = GroupContext((2,) * 10)
+        assert ctx.size == transform.MAX_CELLS_2D
+        f = FunctionFamily("character", (a, b)).build(ctx)
+        c = max(a, b)
+        A = longdouble_cesaro(-alpha, n - 1)
+        w = float(A[n - 1 - c] / A[n - 1]) if c < n else 0.0
+        out = cesaro_mean(fvt_forward_2d(f), n, alpha)
+        assert np.max(np.abs(out.values - w * f.values)) <= 1e-13
 
     @pytest.mark.parametrize("n", (1, 2, 5, 17, 36))
     @pytest.mark.parametrize("alpha", (0.1, 0.5, 0.9))
@@ -317,6 +332,30 @@ class TestModulus:
                             assert fast == slow, (kind, level, p)
                         else:
                             assert abs(fast - slow) <= 1e-12, (kind, level, p)
+
+    @pytest.mark.parametrize("p", P_GRID)
+    def test_characters_match_closed_form(self, ctx2323, p):
+        # psi_a (x) psi_b at the band edges a, b in {0, M_k - 1}: every kind,
+        # level and level pair against the closed form over exact phases.
+        # (c, d) pairs two different edges, so that omega12 tells its two
+        # levels apart, and (c, c) with c = 35 shifts only the radix-3 digit
+        # at level 3, so that psi_c(v) and psi_c(-v) differ there.  The p = 1
+        # screens, Plancherel at p = 2 and the p = inf coset search each keep
+        # it to 6e-16 relative; a zero modulus is 0.
+        ctx = ctx2323
+        levels = range(ctx.level + 1)
+        calls = [(kind, level, None) for kind in ("omega1", "omega2", "total")
+                 for level in levels]
+        calls += [("omega12", l1, l2) for l1 in levels for l2 in levels]
+        edges = [ctx.M[k] - 1 for k in range(1, ctx.level + 1)]
+        for c, d in zip(edges, reversed(edges)):
+            for a, b in ((0, c), (c, c), (c, d)):
+                f = FunctionFamily("character", (a, b)).build(ctx)
+                for kind, level, level2 in calls:
+                    got = modulus(f, kind, level, p, level2=level2).value
+                    want = character_modulus(ctx.m, a, b, kind, level, level2)
+                    assert got == pytest.approx(want, rel=1e-13, abs=0.0), (
+                        a, b, kind, level, level2)
 
     def test_mixed_levels_differ(self, ctx232):
         f = random_grid_2d(ctx232, 10)

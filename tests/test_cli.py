@@ -118,20 +118,18 @@ class TestConfig:
         written = {p.name for p in tmp_path.glob("*.csv")}
         assert written == {default}
 
-    @pytest.mark.parametrize("level", ("true", "2.5"))
-    def test_non_integer_level_rejected(self, tmp_path, level):
+    def test_level_is_not_a_setting(self, tmp_path, capsys):
+        # m alone names the group; its first N generators give level N
         doc = tmp_path / "cfg.json"
-        doc.write_text(f'{{"m": [2, 3, 2], "level": {level}}}', encoding="utf-8")
-        with pytest.raises(ConfigError, match="level"):
+        doc.write_text('{"m": [2, 3, 2], "level": 2}', encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"unknown field 'level'$"):
             load_config(str(doc), {})
         assert main(["check-identities", "--config", str(doc)]) == 2
-
-    def test_level_truncates(self):
-        cfg = load_config(None, {"m": "2,3,2,3", "level": 2})
-        assert cfg.context().m == (2, 3)
-        with pytest.raises(ConfigError, match="level"):
-            load_config(None, {"m": "2,3", "level": 5})
-        assert main(["check-identities", "--m", "2,3", "--level", "5"]) == 2
+        assert "unknown field 'level'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check-identities", "--m", "2,3", "--level", "1"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --level 1" in capsys.readouterr().err
 
     def test_json_document(self):
         cfg = load_config(str(DATA / "config_small.json"), {})
@@ -145,21 +143,21 @@ class TestConfig:
 
         # every field, once from a document and once from a flag over it
         doc = {
-            "m": [2, 3, 2], "level": 2, "alpha": [0.25], "p": [1, "inf"],
+            "m": [2, 3, 2], "alpha": [0.25], "p": [1, "inf"],
             "claims": ["lemma4"], "families": ["random_cell(3)"], "out": "doc.csv",
             "jobs": 2, "cap_file": "doc-caps.json",
         }
         from_doc = RunConfig(
-            m=(2, 3, 2), level=2, alpha=(0.25,), p=(1.0, math.inf), claims=("lemma4",),
+            m=(2, 3, 2), alpha=(0.25,), p=(1.0, math.inf), claims=("lemma4",),
             families=("random_cell(3)",), out="doc.csv", jobs=2, cap_file="doc-caps.json",
         )
         flags = [
-            "--m", "3,3", "--level", "1", "--alpha", "0.75", "--p", "2",
+            "--m", "3,3", "--alpha", "0.75", "--p", "2",
             "--claims", "eq23", "--families", "character(1,1)", "--out", "flag.csv",
             "--jobs", "3", "--cap-file", "flag-caps.json",
         ]
         from_flags = RunConfig(
-            m=(3, 3), level=1, alpha=(0.75,), p=(2.0,), claims=("eq23",),
+            m=(3, 3), alpha=(0.75,), p=(2.0,), claims=("eq23",),
             families=("character(1,1)",), out="flag.csv", jobs=3, cap_file="flag-caps.json",
         )
         names = [f.name for f in fields(RunConfig)]
@@ -218,8 +216,7 @@ class TestConfig:
         ("check-identities", {"out": ["a.csv"]}, [],
          "field 'out': expected a string, got ['a.csv']", None),
         ("verify", {"cap_file": 3}, [], "field 'cap_file': expected a string, got 3", None),
-        ("verify", {}, ["--level", "2.5"], "field 'level': expected an integer, got '2.5'",
-         None),
+        ("verify", {}, ["--m", "2,1"], "field 'm': generator must be >= 2, got 1", None),
         ("verify", {}, ["--jobs", "x"], "field 'jobs': expected an integer, got 'x'", None),
         ("verify", {"alpha": [0.5, 0.25, 0.5]}, [], None, ("alpha", (0.5, 0.25))),
         ("verify", {}, ["--p", "2,inf,2.0,infinity"], None, ("p", (2.0, math.inf))),
@@ -231,6 +228,8 @@ class TestConfig:
          ("families", ("character(1,1)",))),
         ("verify", {"alpha": 0.5}, [], "field 'alpha': expected a list, got 0.5", None),
         ("verify", {}, ["--p", "abc"], "field 'p': bad value 'abc'", None),
+        ("verify", {}, ["--m", "2,x"], "field 'm': expected an integer, got 'x'", None),
+        ("verify", {"m": []}, [], "field 'm': generator sequence must be nonempty", None),
     ))
     def test_list_and_path_rule(self, tmp_path, monkeypatch, capsys,
                                 command, doc, flags, error, stored):
@@ -280,15 +279,6 @@ class TestCheckIdentities:
                for r in read_rows(out) if r["check"] == "eq1"}
         assert eq1["k=1"] == ("nan", "FAIL")
         assert "eq1: max residual nan\n" in capsys.readouterr().out
-
-    def test_level_flag_truncates_group(self, tmp_path):
-        out = tmp_path / "ids.csv"
-        code = main(["check-identities", "--m", "2,3,2,3", "--level", "2",
-                     "--alpha", "0.5", "--out", str(out)])
-        assert code == 0
-        rows = read_rows(out)
-        eq1_levels = {r["params"] for r in rows if r["check"] == "eq1"}
-        assert eq1_levels == {"k=0", "k=1", "k=2"}
 
 
 class TestVerify:
@@ -424,17 +414,6 @@ class TestSweep:
             "--claims", "lemma5", "--out", str(out),
         ])
         summary = json.loads((tmp_path / "d.summary.json").read_text())
-        assert summary["system"] == "dyadic"
-
-    def test_system_names_the_truncated_group(self, tmp_path):
-        # (2, 2, 3) truncated at level 2 is the dyadic group (2, 2)
-        out = tmp_path / "t.csv"
-        code = main([
-            "sweep", "--m", "2,2,3", "--level", "2", "--alpha", "0.5", "--p", "2",
-            "--claims", "theorem1", "--families", "character(1,1)", "--out", str(out),
-        ])
-        assert code == 0
-        summary = json.loads((tmp_path / "t.summary.json").read_text())
         assert summary["system"] == "dyadic"
 
     def test_byte_identical_reruns(self, tmp_path):
