@@ -118,6 +118,16 @@ class TestConfig:
         written = {p.name for p in tmp_path.glob("*.csv")}
         assert written == {default}
 
+    @pytest.mark.parametrize("level", ("true", "2.5"))
+    def test_non_integer_level_rejected(self, tmp_path, capsys, level):
+        # level is no setting, so any value of it is an unknown field
+        doc = tmp_path / "cfg.json"
+        doc.write_text(f'{{"m": [2, 3, 2], "level": {level}}}', encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"unknown field 'level'$"):
+            load_config(str(doc), {})
+        assert main(["check-identities", "--config", str(doc)]) == 2
+        assert "unknown field 'level'" in capsys.readouterr().err
+
     def test_level_is_not_a_setting(self, tmp_path, capsys):
         # m alone names the group; its first N generators give level N
         doc = tmp_path / "cfg.json"
