@@ -158,10 +158,29 @@ def dirichlet_table(ctx: GroupContext) -> np.ndarray:
 
     Row 0 is the empty sum; row n is the cumulative sum of the first n
     characters, so requesting the full table costs O(M_N) per cell.
+
+    The characters are formed one top digit j at a time: rows j * S to
+    (j + 1) * S - 1 of the character table, S = M_{N-1}, are the Kronecker
+    product of row j of the top root table with the character table of the
+    first N - 1 coordinates.  Each block continues the running sum from the
+    row before it, so the full character table is never held, and every
+    entry is the same product and the same sequential sum as in a cumsum of
+    the full table.  Raises ResolutionExceededError before allocating when
+    M_N exceeds MAX_CELLS_1D.
     """
-    chars = character_table(ctx)
+    _check_cap(ctx, MAX_CELLS_1D)
+    top = _root_table(ctx.m[-1], 1)
+    if ctx.level > 1:
+        lower = character_table(ctx.truncate(ctx.level - 1))
+    else:
+        lower = np.ones((1, 1), dtype=np.complex128)
+    step = lower.shape[0]
     out = np.zeros((ctx.size + 1, ctx.size), dtype=np.complex128)
-    np.cumsum(chars, axis=0, out=out[1:])
+    for j in range(ctx.m[-1]):
+        lo = j * step
+        out[lo + 1 : lo + step + 1] = np.kron(top[j : j + 1], lower)
+        # row lo holds the sum so far, so the cumsum continues from it
+        np.cumsum(out[lo : lo + step + 1], axis=0, out=out[lo : lo + step + 1])
     out.flags.writeable = False
     return out
 

@@ -218,7 +218,9 @@ def _grid_mean(block: np.ndarray, reps: int) -> float:
     the full tile is the mean of the smallest contiguous tile that the tree
     repeats: P rows of max(P, 128) entries, or, when a leaf holds several
     rows (M_N < 128), as many row copies as fill one leaf; never more than
-    the full tile.  Other sides tile in full.
+    the full tile.  Other sides tile in full.  When that tile is the block
+    itself (every copy count 1), the mean is taken of the block, without
+    the copy ``np.tile`` makes even then.
     """
     period = block.shape[0]
     size = period * reps
@@ -227,21 +229,41 @@ def _grid_mean(block: np.ndarray, reps: int) -> float:
         copies[-1] = min(reps, max(1, _PAIRWISE_LEAF // period))
         if block.ndim == 2:
             copies[0] = min(reps, max(period, _PAIRWISE_LEAF // size) // period)
+    if copies == [1] * block.ndim:
+        return float(np.mean(block))
     return float(np.mean(np.tile(block, copies)))
+
+
+# Complex entries in one row block of the kernel product: 2 MiB.
+_PRODUCT_ENTRIES = 1 << 17
 
 
 def _kernel_integrals(ctx: GroupContext, coeffs: np.ndarray) -> tuple[float, float]:
     """Exact integrals of |sum_i c_i D_i(u) D_i(v)| and |sum_i c_i D_i(u)|.
 
     ``coeffs[i-1]`` multiplies D_i, i = 1..n.  D_i with i <= M_k depends on a
-    cell id only mod M_k, so the products cover one period, and
+    cell id only mod M_k, so the products cover one period P, and
     ``_grid_mean`` takes their mean in the order of the full grid.
+
+    The (P, P) product is formed in row blocks of height R, each taken to
+    its modulus before the next is formed, so only the float |.| of the
+    product is held in full.  R is the largest scale M_j (j >= 1) with
+    R * P <= ``_PRODUCT_ENTRIES``, else M_1; it is P (one block) when P * P
+    fits.  Every block then has the same height, which divides P, and at
+    least m_0 >= 2 rows: BLAS computes each row of such a block as it does
+    in the one-block product (a 1-row block takes its matrix-vector path
+    and can change the last bits).
     """
-    period = ctx.M[_band_level(ctx, len(coeffs))]
+    level = _band_level(ctx, len(coeffs))
+    period = ctx.M[level]
     reps = ctx.size // period
     rows = dirichlet_table(ctx)[1 : len(coeffs) + 1, :period]
-    weighted = coeffs[:, None] * rows
-    quad = np.abs(weighted.T @ rows)
+    fits = [M for M in ctx.M[1 : level + 1] if M * period <= _PRODUCT_ENTRIES]
+    height = fits[-1] if fits else ctx.M[min(level, 1)]
+    quad = np.empty((period, period))
+    for lo in range(0, period, height):
+        np.abs((coeffs[:, None] * rows[:, lo : lo + height]).T @ rows,
+               out=quad[lo : lo + height])
     line = np.abs(coeffs @ rows)
     return _grid_mean(quad, reps), _grid_mean(line, reps)
 

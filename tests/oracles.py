@@ -5,21 +5,25 @@ are plain character-matrix sums, moduli enumerate shifts by literal element
 arithmetic (or, for a character, take a closed form over exact phases), the
 gamma function is a standalone Lanczos evaluation, the telescoped Cesaro sums
 are re-done term by term in 80-bit precision, the weighted kernel integral of
-Lemma 4 is rebuilt from pointwise Dirichlet sums, and compensated prefix sums
-run one element at a time.
+Lemma 4 is rebuilt from pointwise Dirichlet sums, the weighted kernel
+integrals take their period product in one call, the theorem rows of a
+character come from its closed form, and compensated prefix sums run one
+element at a time.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
 from vilenkin.group import GroupContext, add, cell_enumerate, cell_id, in_interval
-from vilenkin.kernels import cesaro_numbers, character_table, dirichlet
+from vilenkin.kernels import cesaro_numbers, character_table, dirichlet, dirichlet_table
 from vilenkin.transform import SpectralGrid2D, fvt_inverse_2d, partial_sum_rect
+from vilenkin.verify import _grid_mean
 
 
 def naive_forward_1d(ctx: GroupContext, values: np.ndarray) -> np.ndarray:
@@ -161,6 +165,48 @@ def character_modulus(
     raise ValueError(f"unknown kind {kind!r}")
 
 
+@lru_cache(maxsize=None)
+def _character_omega(m: tuple[int, ...], a: int, b: int, level: int) -> float:
+    return (character_modulus(m, a, b, "omega1", level)
+            + character_modulus(m, a, b, "omega2", level))
+
+
+def character_theorem_sides(
+    m: tuple[int, ...], a: int, b: int, alpha: float, claim: str, arg: int
+) -> tuple[float, float]:
+    """(lhs, rhs) of one theorem row for f = psi_a(x) psi_b(y), in closed form.
+
+    ``arg`` is the level k of a theorem1 row, whose order is n = M_k, or the
+    order n of a theorem2 row, whose level k = |n| is the position of n's
+    leading mixed-radix digit.  With c = max(a, b), the partial sum S_jj f
+    is f for j > c and 0 otherwise, so sigma_n f = w f with
+    w = A_{n-1-c}^{-alpha} / A_{n-1}^{-alpha} (0 when c >= n); as |f| = 1,
+    lhs = |1 - w| at every p.  rhs = M_k^alpha * L * omega(k - 1)
+    + sum_{r < k-1} M_r / M_k * omega(r), with L = 1 for theorem1 and the
+    clamped log n for theorem2, and omega(r) = omega1 + omega2 at level r
+    from ``character_modulus``.
+    """
+    scales = [1]
+    for mk in m:
+        scales.append(scales[-1] * mk)
+    if claim == "theorem1":
+        k, n, factor = arg, scales[arg], 1.0
+    else:
+        n, digits, rem = arg, [], arg
+        for mk in m:
+            rem, d = divmod(rem, mk)
+            digits.append(d)
+        k = max(j for j, d in enumerate(digits) if d)
+        factor = math.log(n) if n >= 3 else 1.0
+    c = max(a, b)
+    weights = longdouble_cesaro(-alpha, n - 1)
+    w = weights[n - 1 - c] / weights[n - 1] if c < n else np.longdouble(0.0)
+    lhs = float(abs(1 - w))
+    rhs = scales[k] ** alpha * factor * _character_omega(m, a, b, k - 1)
+    rhs += sum(scales[r] / scales[k] * _character_omega(m, a, b, r) for r in range(k - 1))
+    return lhs, rhs
+
+
 def brute_inf_omega12(ctx: GroupContext, values: np.ndarray, level: int, level2: int) -> float:
     """p = inf mixed modulus as the max over every (u, v) of |g(x, y+v) - g(x, y)|.
 
@@ -236,6 +282,27 @@ def pointwise_lemma4_values(
             acc += weights[p - i] * np.multiply.outer(d, d)
         out.append(float(np.abs(acc).mean()))
     return np.array(out)
+
+
+def one_shot_kernel_moduli(
+    ctx: GroupContext, coeffs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """|sum_i c_i D_i(u) D_i(v)| and |sum_i c_i D_i(u)| over one period, and its copies.
+
+    The same period P (the smallest M_j >= n) and rows D_1..D_n as
+    ``verify._kernel_integrals``, but the whole (P, P) product is one
+    matmul, without row blocks.  The third value is M_N / P.
+    """
+    period = next(M for M in ctx.M if M >= len(coeffs))
+    rows = dirichlet_table(ctx)[1 : len(coeffs) + 1, :period]
+    quad = np.abs((coeffs[:, None] * rows).T @ rows)
+    return quad, np.abs(coeffs @ rows), ctx.size // period
+
+
+def one_shot_kernel_integrals(ctx: GroupContext, coeffs: np.ndarray) -> tuple[float, float]:
+    """The two weighted kernel integrals from ``one_shot_kernel_moduli``."""
+    quad, line, reps = one_shot_kernel_moduli(ctx, coeffs)
+    return _grid_mean(quad, reps), _grid_mean(line, reps)
 
 
 def direct_cesaro_weights(n: int, alpha: float) -> np.ndarray:

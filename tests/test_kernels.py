@@ -125,6 +125,16 @@ class TestDirichlet:
     def test_empty_sum_row(self, ctx232):
         assert np.all(dirichlet_table(ctx232)[0] == 0.0)
 
+    @pytest.mark.parametrize(
+        "m", [(2,), (5,), (2, 3, 2, 3), (5, 7, 5), (4,) * 5], ids=["2", "5", "2323", "575", "4^5"]
+    )
+    def test_table_is_the_cumsum_of_the_character_table(self, m):
+        # built one top digit at a time, with the same bits as one cumsum
+        ctx = GroupContext(m)
+        want = np.zeros((ctx.size + 1, ctx.size), dtype=np.complex128)
+        np.cumsum(character_table(ctx), axis=0, out=want[1:])
+        assert np.array_equal(dirichlet_table(ctx).view(np.int64), want.view(np.int64))
+
     def test_dense_tables_capped_before_allocating(self):
         # at M_N = 4099 each table would take about 270 MB; the check comes first
         ctx = GroupContext((4099,))

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import random_grid_2d
-from oracles import full_grid_synthesis, pointwise_lemma4_values
+from oracles import (
+    character_theorem_sides,
+    full_grid_synthesis,
+    one_shot_kernel_integrals,
+    one_shot_kernel_moduli,
+    pointwise_lemma4_values,
+)
 from test_approx import (
     TRANSLATION_REL,
     near_overflow_grids,
@@ -166,6 +172,49 @@ class TestKernelIntegrals:
                 _kernel_integrals(ctx, coeffs), full_grid_integrals(ctx, coeffs),
                 rtol=1e-15, atol=0.0,
             )
+
+    @pytest.mark.parametrize("m", [(3,) * 6, (2,) * 10, (4,) * 5], ids=["3^6", "2^10", "4^5"])
+    def test_row_blocks_bit_identical_to_one_product(self, m, monkeypatch):
+        # at P = M_N the product runs in row blocks: 81 rows at 3^6, 128 at
+        # 2^10, 64 at 4^5; the lemma 5 weights and a unit reach that period.
+        # A mean of ~10^6 entries can hide a last-bit change in one row (a
+        # 1-row block takes BLAS's matrix-vector path), so |Q| is compared too.
+        held = []
+
+        def holding_mean(block, reps):
+            held.append(block)
+            return _grid_mean(block, reps)
+
+        monkeypatch.setattr("vilenkin.verify._grid_mean", holding_mean)
+        ctx = GroupContext(m)
+        top = [_kernel_weights(alpha, n, n)
+               for alpha in (0.1, 0.5, 0.9) for n in (ctx.M[-2] + 1, ctx.size - 1)]
+        unit = np.zeros(ctx.size)
+        unit[-1] = 1.0
+        for coeffs in kernel_coefficient_sets(ctx) + top + [unit, np.ones(ctx.size)]:
+            held.clear()
+            assert _kernel_integrals(ctx, coeffs) == one_shot_kernel_integrals(ctx, coeffs)
+            quad, _, _ = one_shot_kernel_moduli(ctx, coeffs)
+            assert np.array_equal(held[0].view(np.int64), quad.view(np.int64)), len(coeffs)
+
+    def test_peak_memory_at_1024_cells(self):
+        # the full table is 16 MiB; one product with its weighted copy, the
+        # complex product and the tile of |Q| took 40 MiB on top of it, and
+        # a table built from the full character table 32 MiB in all
+        ctx = GroupContext((4,) * 5)
+        dirichlet_table.cache_clear()
+        tracemalloc.start()
+        try:
+            dirichlet_table(ctx)
+            _, build = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            warm, _ = tracemalloc.get_traced_memory()
+            lemma1_report(ctx, np.ones(ctx.size))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert build < 24 << 20
+        assert peak - warm < 16 << 20
 
     @pytest.mark.parametrize("alpha", (0.0, 1.0, 1.5, -0.5, math.nan))
     @pytest.mark.parametrize("report", [
@@ -500,6 +549,25 @@ class TestTheoremReports:
             scale = 1.0 if r.claim == "theorem1" else log_factor(r.n)
             assert r.rhs == _modulus_rhs(ctx2323, r.k, r.alpha, scale, omega[r.p])
         assert theorem_reports(f, alphas, ps) == []
+
+    def test_band_edge_characters_match_closed_form(self, ctx2323):
+        # psi_(0,c), psi_(c,0) and psi_(c,c) for each band edge c = M_k - 1;
+        # the worst relative error, 4.3e-14, is an lhs of 0.016, where 1 - w
+        # cancels
+        edges = [M - 1 for M in ctx2323.M[1:]]
+        characters = [(0, c) for c in edges] + [(c, 0) for c in edges] + [(c, c) for c in edges]
+        checked = 0
+        for a, b in characters:
+            f = FunctionFamily("character", (a, b)).build(ctx2323)
+            reports = theorem_reports(f, (0.1, 0.5, 0.9), (1.0, 2.0, math.inf),
+                                      levels=(1, 2, 3), orders=theorem2_orders(ctx2323))
+            for r in reports:
+                arg = r.k if r.claim == "theorem1" else r.n
+                want = character_theorem_sides(ctx2323.m, a, b, r.alpha, r.claim, arg)
+                for got, value in zip((r.lhs, r.rhs), want):
+                    assert abs(got - value) <= 1e-13 * max(abs(value), 1.0), (a, b, r)
+                    checked += 1
+        assert checked == 2592
 
 
 def every_theorem_report(f, ps=(1.0, 2.0, 3.0, math.inf)):
