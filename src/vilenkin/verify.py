@@ -19,7 +19,14 @@ from typing import Sequence
 import numpy as np
 
 from .approx import _axis_norms, _check_alpha, _check_p, _lp_mags, cesaro_mean
-from .group import GroupContext, _band_level, _check_index, digit_table, index_expand
+from .group import (
+    GroupContext,
+    _band_level,
+    _check_index,
+    _negate_ids,
+    digit_table,
+    index_expand,
+)
 from .kernels import _check_cap, cesaro_numbers, dirichlet_table, psi_values
 from .transform import (
     MAX_CELLS_2D,
@@ -245,14 +252,23 @@ def _kernel_integrals(ctx: GroupContext, coeffs: np.ndarray) -> tuple[float, flo
     cell id only mod M_k, so the products cover one period P, and
     ``_grid_mean`` takes their mean in the order of the full grid.
 
-    The (P, P) product is formed in row blocks of height R, each taken to
-    its modulus before the next is formed, so only the float |.| of the
-    product is held in full.  R is the largest scale M_j (j >= 1) with
+    The (P, P) product is formed in row blocks, each taken to its modulus
+    before the next is formed, so only the float |.| of the product is held
+    in full.  The block height R is the largest scale M_j (j >= 1) with
     R * P <= ``_PRODUCT_ENTRIES``, else M_1; it is P (one block) when P * P
-    fits.  Every block then has the same height, which divides P, and at
-    least m_0 >= 2 rows: BLAS computes each row of such a block as it does
-    in the one-block product (a 1-row block takes its matrix-vector path
-    and can change the last bits).
+    fits.  Every block has at least 2 rows: BLAS computes each row of such a
+    block as it does in the one-block product (a 1-row block takes its
+    matrix-vector path and can change the last bits).
+
+    With real c and D_i(-u) = conj D_i(u), Q(-u, v) = conj Q(u, -v), so row
+    -u of |Q| is row u gathered at the negated columns.  When P is a power
+    of two and some radix below the period's level exceeds 2, only the rows
+    u <= -u are formed, split evenly into blocks of at least R rows (at
+    least 2 rows when one block holds them all), and each block also fills
+    its mirror rows.  The gather keeps the bits only while BLAS computes
+    columns v and -v alike, which held at every power-of-two P tried; at
+    other P it moved last bits, and with radix 2 alone -u = u, so those
+    periods run the slice loop.
     """
     level = _band_level(ctx, len(coeffs))
     period = ctx.M[level]
@@ -261,9 +277,19 @@ def _kernel_integrals(ctx: GroupContext, coeffs: np.ndarray) -> tuple[float, flo
     fits = [M for M in ctx.M[1 : level + 1] if M * period <= _PRODUCT_ENTRIES]
     height = fits[-1] if fits else ctx.M[min(level, 1)]
     quad = np.empty((period, period))
-    for lo in range(0, period, height):
-        np.abs((coeffs[:, None] * rows[:, lo : lo + height]).T @ rows,
-               out=quad[lo : lo + height])
+    if period & (period - 1) or all(mk == 2 for mk in ctx.m[:level]):
+        for lo in range(0, period, height):
+            np.abs((coeffs[:, None] * rows[:, lo : lo + height]).T @ rows,
+                   out=quad[lo : lo + height])
+    else:
+        neg = _negate_ids(ctx, np.arange(period))
+        half = np.flatnonzero(np.arange(period) <= neg)
+        for block in np.array_split(half, max(1, len(half) // height)):
+            left = rows[:, block]
+            left *= coeffs[:, None]
+            top = np.abs(left.T @ rows)
+            quad[block] = top
+            quad[neg[block]] = top[:, neg]
     line = np.abs(coeffs @ rows)
     return _grid_mean(quad, reps), _grid_mean(line, reps)
 

@@ -266,6 +266,21 @@ class TestCells:
         expected = [cell_id(ctx232, negate(ctx232, x)) for x in cells]
         assert _negate_ids(ctx232, np.arange(ctx232.size)).tolist() == expected
 
+    @pytest.mark.parametrize(
+        "m", [(4,) * 5, (2, 3, 2, 3, 2), (5, 7, 5)], ids=["4^5", "23232", "575"]
+    )
+    def test_negate_ids_is_an_involution_of_each_period(self, m):
+        # negation is digitwise, without carries, so it keeps every period
+        # [0, M_k); -u = u when each digit is 0 or m_k / 2
+        ctx = GroupContext(m)
+        for level, period in enumerate(ctx.M):
+            ids = np.arange(period)
+            neg = _negate_ids(ctx, ids)
+            assert sorted(neg.tolist()) == ids.tolist()
+            assert np.array_equal(neg[neg], ids)
+            fixed = np.prod([2 - mk % 2 for mk in ctx.m[:level]], dtype=int)
+            assert np.count_nonzero(neg == ids) == fixed, period
+
 
 small_groups = st.lists(st.integers(min_value=2, max_value=4), min_size=1, max_size=4)
 

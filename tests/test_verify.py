@@ -90,6 +90,52 @@ def test_log_factor_clamp():
     assert log_factor(3) == pytest.approx(math.log(3.0))
 
 
+def mirror_coefficient_sets(ctx):
+    """``kernel_coefficient_sets``, the lemma 5 weights at both ends of each period, all-ones."""
+    ends = [
+        _kernel_weights(alpha, n, n)
+        for alpha in (0.1, 0.5, 0.9)
+        for j in range(1, ctx.level + 1)
+        for n in dict.fromkeys((ctx.M[j - 1] + 1, ctx.M[j]))
+    ]
+    return kernel_coefficient_sets(ctx) + ends + [np.ones(M) for M in ctx.M[1:]]
+
+
+def mirrored_row_count(ctx, period):
+    """Rows of |Q| the product forms at ``period``: P, or the rows u <= -u.
+
+    The mirror runs at a power-of-two P with some radix above 2; -u = u on
+    the F = prod_k (2 if m_k is even else 1) cells with digits in {0, m_k/2}.
+    """
+    radices = ctx.m[: ctx.M.index(period)]
+    if period & (period - 1) or max(radices, default=2) == 2:
+        return period
+    return (period + math.prod(2 - mk % 2 for mk in radices)) // 2
+
+
+def spy_kernel_product(monkeypatch):
+    """Hold each |Q| that ``_grid_mean`` sees and the height of each |.| product block."""
+    held, heights = [], []
+
+    def holding_mean(block, reps):
+        held.append(block)
+        return _grid_mean(block, reps)
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def abs(x, *args, **kwargs):
+            if np.ndim(x) == 2:
+                heights.append(len(x))
+            return np.abs(x, *args, **kwargs)
+
+    monkeypatch.setattr("vilenkin.verify._grid_mean", holding_mean)
+    monkeypatch.setattr("vilenkin.verify.np", CountingNumpy())
+    return held, heights
+
+
 def full_grid_integrals(ctx, coeffs):
     """The kernel integrals as products over every cell, without the period."""
     rows = dirichlet_table(ctx)[1 : len(coeffs) + 1]
@@ -231,6 +277,38 @@ class TestKernelIntegrals:
         monkeypatch.setattr("vilenkin.verify.dirichlet_table", no_table)
         with pytest.raises(ValueError, match="alpha must lie in"):
             report(ctx2323, alpha)
+
+    @pytest.mark.parametrize(
+        "m",
+        [(8, 8, 8), (4, 2, 4, 2, 4), (2, 4, 2, 4, 2), (2, 3, 2, 3, 2), (5,) * 4],
+        ids=["888", "42424", "24242", "23232", "5^4"],
+    )
+    def test_mirrored_rows_bit_identical_to_one_product(self, m, monkeypatch):
+        # row -u is row u at the negated columns; that gather keeps the bits
+        # only where BLAS computes columns v and -v alike, seen at every
+        # power-of-two P, while at P = 6 of 2,3,2,3,2 a mirror moved last
+        # bits of the lemma 4 and 5 rows.  So only power-of-two periods with a
+        # radix above 2 form half the rows, and the rest form all of them.
+        held, heights = spy_kernel_product(monkeypatch)
+        ctx = GroupContext(m)
+        for coeffs in mirror_coefficient_sets(ctx):
+            held.clear()
+            heights.clear()
+            assert _kernel_integrals(ctx, coeffs) == one_shot_kernel_integrals(ctx, coeffs)
+            quad, _, _ = one_shot_kernel_moduli(ctx, coeffs)
+            assert np.array_equal(held[0].view(np.int64), quad.view(np.int64)), len(coeffs)
+            assert sum(heights) == mirrored_row_count(ctx, len(quad)), len(coeffs)
+
+    def test_mirror_forms_half_the_rows_at_1024_cells(self, monkeypatch):
+        # 32 cells of 4^5 (digits in {0, 2}) are their own negatives, so 528
+        # of 1024 rows are formed, in 8 blocks of 66 rather than 16 of 64
+        held, heights = spy_kernel_product(monkeypatch)
+        ctx = GroupContext((4,) * 5)
+        coeffs = _kernel_weights(0.9, ctx.size - 1, ctx.size - 1)
+        assert _kernel_integrals(ctx, coeffs) == one_shot_kernel_integrals(ctx, coeffs)
+        quad, _, _ = one_shot_kernel_moduli(ctx, coeffs)
+        assert np.array_equal(held[0].view(np.int64), quad.view(np.int64))
+        assert heights == [66] * 8
 
 
 class TestLemma1:
