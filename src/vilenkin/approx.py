@@ -140,8 +140,15 @@ def _lp_rescaled(mags: np.ndarray, p: float, axis, power_mean, out):
     return np.where(redo, rescaled, out)
 
 
+def _real(value, what: str) -> float:
+    """``value`` as a float; a bool or a string, which float() would read, is a ValueError."""
+    if isinstance(value, (bool, np.bool_, str, bytes)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _check_p(p: float) -> float:
-    p = float(p)
+    p = _real(p, "p")
     if not p >= 1.0:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     return p
@@ -153,7 +160,7 @@ def lp_norm(f: SampledFunction2D, p: float) -> float:
 
 
 def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
+    alpha = _real(alpha, "alpha")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     return alpha

@@ -254,37 +254,38 @@ def _kernel_integrals(ctx: GroupContext, coeffs: np.ndarray) -> tuple[float, flo
 
     The (P, P) product is formed in row blocks, each taken to its modulus
     before the next is formed, so only the float |.| of the product is held
-    in full.  The block height R is the largest scale M_j (j >= 1) with
-    R * P <= ``_PRODUCT_ENTRIES``, else M_1; it is P (one block) when P * P
-    fits.  Every block has at least 2 rows: BLAS computes each row of such a
-    block as it does in the one-block product (a 1-row block takes its
+    in full.  The rows are split into ceil(P * P / ``_PRODUCT_ENTRIES``)
+    near-equal blocks, so each block is within one row of that budget, and
+    when there is more than one block each has at least 31 rows for every
+    P up to the dense-table cap.  Every block of at least 2 rows is computed
+    by BLAS as in the one-block product (a 1-row block takes its
     matrix-vector path and can change the last bits).
 
     With real c and D_i(-u) = conj D_i(u), Q(-u, v) = conj Q(u, -v), so row
     -u of |Q| is row u gathered at the negated columns.  When P is a power
     of two and some radix below the period's level exceeds 2, only the rows
-    u <= -u are formed, split evenly into blocks of at least R rows (at
-    least 2 rows when one block holds them all), and each block also fills
-    its mirror rows.  The gather keeps the bits only while BLAS computes
-    columns v and -v alike, which held at every power-of-two P tried; at
-    other P it moved last bits, and with radix 2 alone -u = u, so those
-    periods run the slice loop.
+    u <= -u are formed, split into the same number of blocks (each of at
+    least 16 rows when there are several, and at least 2 rows when one
+    block holds them all), and each block also fills its mirror rows.  The
+    gather keeps the bits only while BLAS computes columns v and -v alike,
+    which held at every power-of-two P tried; at other P it moved last
+    bits, and with radix 2 alone -u = u, so those periods run the slice
+    loop.
     """
     level = _band_level(ctx, len(coeffs))
     period = ctx.M[level]
     reps = ctx.size // period
     rows = dirichlet_table(ctx)[1 : len(coeffs) + 1, :period]
-    fits = [M for M in ctx.M[1 : level + 1] if M * period <= _PRODUCT_ENTRIES]
-    height = fits[-1] if fits else ctx.M[min(level, 1)]
+    count = -(-period * period // _PRODUCT_ENTRIES)
     quad = np.empty((period, period))
     if period & (period - 1) or all(mk == 2 for mk in ctx.m[:level]):
-        for lo in range(0, period, height):
-            np.abs((coeffs[:, None] * rows[:, lo : lo + height]).T @ rows,
-                   out=quad[lo : lo + height])
+        for i in range(count):
+            lo, hi = i * period // count, (i + 1) * period // count
+            np.abs((coeffs[:, None] * rows[:, lo:hi]).T @ rows, out=quad[lo:hi])
     else:
         neg = _negate_ids(ctx, np.arange(period))
         half = np.flatnonzero(np.arange(period) <= neg)
-        for block in np.array_split(half, max(1, len(half) // height)):
+        for block in np.array_split(half, count):
             left = rows[:, block]
             left *= coeffs[:, None]
             top = np.abs(left.T @ rows)
@@ -300,18 +301,36 @@ def lemma1_report(
     """Normalized quadratic-form integral against the l2 coefficient bound.
 
     Returns the two-variable record (claim lemma1) and its one-variable
-    specialization (claim lemma0), both over the same coefficients.
+    specialization (claim lemma0), both over the same coefficients, which
+    must form a nonempty 1-D vector of finite reals.  When the sum of
+    squares overflows, both sides are computed on c / 2^k, 2^k the largest
+    power of two at most max |c|, and multiplied back by 2^k; a power of two
+    divides out exactly from every step, so the ratio is that of c.
     """
-    c = np.asarray(coeffs, dtype=np.float64)
+    c = np.asarray(coeffs)
+    if c.ndim != 1 or np.iscomplexobj(c):
+        raise ValueError("coefficients must be a 1-D vector of reals")
+    c = np.asarray(c, dtype=np.float64)
     n = len(c)
     if n < 1:
         raise ValueError("coefficient vector must be nonempty")
+    if not np.isfinite(c).all():
+        raise ValueError("coefficients must be finite")
+    with np.errstate(over="ignore"):
+        squares = np.sum(c * c)
+    scale = 1.0
+    if math.isinf(squares):
+        scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(c))))[1] - 1)
+        c = c / scale
+        squares = np.sum(c * c)
     quad, line = _kernel_integrals(ctx, c)
-    rhs = float(np.sqrt(np.sum(c * c)) / math.sqrt(n))
+    rhs = float(np.sqrt(squares) / math.sqrt(n))
     lhs2 = quad / n
     lhs1 = line / n
-    report2 = RatioReport(claim="lemma1", n=n, lhs=lhs2, rhs=rhs, ratio=_ratio(lhs2, rhs))
-    report1 = RatioReport(claim="lemma0", n=n, lhs=lhs1, rhs=rhs, ratio=_ratio(lhs1, rhs))
+    report2 = RatioReport(claim="lemma1", n=n, lhs=lhs2 * scale, rhs=rhs * scale,
+                          ratio=_ratio(lhs2, rhs))
+    report1 = RatioReport(claim="lemma0", n=n, lhs=lhs1 * scale, rhs=rhs * scale,
+                          ratio=_ratio(lhs1, rhs))
     return report2, report1
 
 
@@ -369,7 +388,7 @@ def eq23_profile(ctx: GroupContext, alpha: float, n: int) -> np.ndarray:
     Entry 0 (the zero cell) is set to 0: the decay bound concerns u != 0.
     """
     n = _check_index(n, 1, ctx.size - 1, "order")
-    alpha = float(alpha)
+    alpha = _check_alpha(alpha)
     line = _kernel_weights(alpha, n, n) @ dirichlet_table(ctx)[1 : n + 1]
     profile = np.abs(line) * _cell_norms(ctx) ** (1.0 - alpha)
     profile[0] = 0.0

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -7,6 +8,14 @@ import pytest
 from vilenkin import GroupContext, SampledFunction2D
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+def pytest_report_header(config):
+    # the kernel bit tests hold for the BLAS they ran on; name it in every run
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return (f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}"
+            f" ({blas.get('openblas configuration', 'no OpenBLAS configuration')}),"
+            f" {os.cpu_count()} CPUs")
 
 
 @pytest.fixture

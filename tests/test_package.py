@@ -1,6 +1,7 @@
 """The public surface: every exported name resolves, and the README example runs."""
 
 import importlib
+import math
 import re
 from pathlib import Path
 
@@ -109,3 +110,37 @@ def test_generators_follow_the_index_rule():
         GroupContext((1, 3))
     ctx = GroupContext((2.0, np.int64(3)))
     assert ctx.m == (2, 3) and all(type(v) is int for v in ctx.m)
+
+
+# One rule for every p and alpha argument: a bool or a string is a
+# ValueError, though float() reads both; numbers, numpy scalars and inf pass.
+# Each row is (call, valid).
+def _real_cases():
+    ctx = GroupContext((2, 3))
+    f = verify.FunctionFamily("random_cell", (7,)).build(ctx)
+    grid = transform.fvt_forward_2d(f)
+    return {
+        "modulus.p": (lambda v: approx.modulus(f, "omega1", 0, v), 2.0),
+        "lp_norm.p": (lambda v: approx.lp_norm(f, v), 2.0),
+        "theorem_reports.ps": (lambda v: verify.theorem_reports(f, [0.5], [v], levels=[1]), 2.0),
+        "cesaro_mean.alpha": (lambda v: approx.cesaro_mean(grid, 3, v), 0.5),
+        "theorem_reports.alphas": (
+            lambda v: verify.theorem_reports(f, [v], [2.0], levels=[1]), 0.5),
+        "lemma4_report.alpha": (lambda v: verify.lemma4_report(ctx, v, 1, [2, 3]), 0.5),
+        "lemma5_report.alpha": (lambda v: verify.lemma5_report(ctx, v, 4), 0.5),
+        "eq23_report.alpha": (lambda v: verify.eq23_report(ctx, v, 4), 0.5),
+    }
+
+
+@pytest.mark.parametrize("name", list(_real_cases()))
+def test_p_and_alpha_refuse_bools_and_strings(name):
+    call, valid = _real_cases()[name]
+    for bad in (True, np.True_, str(valid)):
+        with pytest.raises(ValueError, match="must be a number"):
+            call(bad)
+    expected = call(valid)
+    for same in (np.float64(valid), np.float32(valid)):
+        assert _same(call(same), expected)
+    if valid == 2.0:  # a p: an int and inf pass too
+        assert _same(call(2), expected)
+        call(math.inf)

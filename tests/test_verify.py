@@ -35,6 +35,7 @@ from vilenkin import (
 )
 from vilenkin.cli import theorem2_orders
 from vilenkin.verify import (
+    _PRODUCT_ENTRIES,
     FunctionFamily,
     _grid_mean,
     _kernel_integrals,
@@ -221,8 +222,9 @@ class TestKernelIntegrals:
 
     @pytest.mark.parametrize("m", [(3,) * 6, (2,) * 10, (4,) * 5], ids=["3^6", "2^10", "4^5"])
     def test_row_blocks_bit_identical_to_one_product(self, m, monkeypatch):
-        # at P = M_N the product runs in row blocks: 81 rows at 3^6, 128 at
-        # 2^10, 64 at 4^5; the lemma 5 weights and a unit reach that period.
+        # at P = M_N the product runs in row blocks: 145 or 146 rows at 3^6,
+        # 128 at 2^10, 66 mirrored rows at 4^5; the lemma 5 weights and a
+        # unit reach that period.
         # A mean of ~10^6 entries can hide a last-bit change in one row (a
         # 1-row block takes BLAS's matrix-vector path), so |Q| is compared too.
         held = []
@@ -310,6 +312,38 @@ class TestKernelIntegrals:
         assert np.array_equal(held[0].view(np.int64), quad.view(np.int64))
         assert heights == [66] * 8
 
+    def test_one_generator_blocks_keep_the_budget(self, monkeypatch):
+        # with one generator the period 1024 is the only scale above 1, so a
+        # block height taken from the scales held all 513 mirrored rows at
+        # once; the block count ceil(P * P / 2^17) gives 8 blocks of 64 or 65
+        held, heights = spy_kernel_product(monkeypatch)
+        ctx = GroupContext((1024,))
+        top = [_kernel_weights(alpha, ctx.size - 1, ctx.size - 1) for alpha in (0.1, 0.5, 0.9)]
+        for coeffs in mirror_coefficient_sets(ctx) + top:
+            held.clear()
+            heights.clear()
+            assert _kernel_integrals(ctx, coeffs) == one_shot_kernel_integrals(ctx, coeffs)
+            quad, _, _ = one_shot_kernel_moduli(ctx, coeffs)
+            period = len(quad)
+            assert np.array_equal(held[0].view(np.int64), quad.view(np.int64)), len(coeffs)
+            assert sum(heights) == mirrored_row_count(ctx, period), len(coeffs)
+            assert all(min(2, period) <= h and h * period <= _PRODUCT_ENTRIES + period
+                       for h in heights), heights
+
+    def test_peak_memory_with_one_generator_at_1024_cells(self):
+        # one block of 513 rows with its weighted copy and complex product
+        # took 28.1 MiB above the table
+        ctx = GroupContext((1024,))
+        dirichlet_table(ctx)
+        tracemalloc.start()
+        try:
+            warm, _ = tracemalloc.get_traced_memory()
+            lemma1_report(ctx, np.ones(ctx.size))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - warm < 16 << 20
+
 
 class TestLemma1:
     def test_single_coefficient(self, ctx232):
@@ -355,6 +389,27 @@ class TestLemma1:
             for got, want in zip(lemma1_report(ctx, 2 * c), lemma1_report(ctx, c)):
                 assert (got.claim, got.lhs, got.rhs) == (want.claim, 2 * want.lhs, 2 * want.rhs)
                 assert got.ratio == want.ratio, (got.claim, n)
+
+    @pytest.mark.parametrize("coeffs", [
+        [math.nan, 1.0], [1.0, math.inf], [[1.0, 2.0]], 3.0, np.array([1 + 1j, 2.0]),
+    ], ids=["nan", "inf", "2-D", "0-D", "complex"])
+    def test_refuses_bad_coefficients_before_the_table(self, ctx23, coeffs, monkeypatch):
+        # a NaN rhs read as ratio inf, a complex vector lost its imaginary
+        # part, and a 2-D one failed inside numpy
+        def no_table(_):
+            raise AssertionError("kernel table built before the coefficients were checked")
+
+        monkeypatch.setattr("vilenkin.verify.dirichlet_table", no_table)
+        with pytest.raises(ValueError, match="coefficients must be"):
+            lemma1_report(ctx23, coeffs)
+
+    def test_huge_coefficients_scale_exactly(self, ctx23):
+        # the plain sum of squares overflows at 2^1200; both sides run on
+        # c / 2^600 instead, where the rhs was inf and the ratio 0.0
+        huge, unit = lemma1_report(ctx23, [2.0**600] * 2), lemma1_report(ctx23, [1.0, 1.0])
+        for got, want in zip(huge, unit):
+            assert (got.lhs, got.rhs) == (2.0**600 * want.lhs, 2.0**600 * want.rhs), got.claim
+            assert got.ratio == want.ratio == 1.0, got.claim
 
 
 class TestLemma4:
@@ -632,20 +687,38 @@ class TestTheoremReports:
         # psi_(0,c), psi_(c,0) and psi_(c,c) for each band edge c = M_k - 1;
         # the worst relative error, 4.3e-14, is an lhs of 0.016, where 1 - w
         # cancels
-        edges = [M - 1 for M in ctx2323.M[1:]]
-        characters = [(0, c) for c in edges] + [(c, 0) for c in edges] + [(c, c) for c in edges]
-        checked = 0
-        for a, b in characters:
-            f = FunctionFamily("character", (a, b)).build(ctx2323)
-            reports = theorem_reports(f, (0.1, 0.5, 0.9), (1.0, 2.0, math.inf),
-                                      levels=(1, 2, 3), orders=theorem2_orders(ctx2323))
-            for r in reports:
-                arg = r.k if r.claim == "theorem1" else r.n
-                want = character_theorem_sides(ctx2323.m, a, b, r.alpha, r.claim, arg)
-                for got, value in zip((r.lhs, r.rhs), want):
-                    assert abs(got - value) <= 1e-13 * max(abs(value), 1.0), (a, b, r)
-                    checked += 1
-        assert checked == 2592
+        assert band_edge_characters_checked(ctx2323, levels=(1, 2, 3)) == 2592
+
+    def test_band_edge_characters_match_closed_form_on_2_6(self):
+        # the same characters at levels 1-5; worst relative error 2.3e-15.
+        # 3^5 is left out at this bound: where c >= n makes sigma_n f = 0 the
+        # radix-3 transform leaves rounding-level coefficients in the band,
+        # and the theorem 2 lhs of psi_(242,242) at alpha 0.9, p = inf,
+        # n = 162 reads 1 + 1e-13
+        assert band_edge_characters_checked(GroupContext((2,) * 6), levels=range(1, 6)) == 6156
+
+
+def band_edge_characters_checked(ctx, levels):
+    """Compare the theorem rows of every band-edge character with the closed form.
+
+    Checks psi_(0,c), psi_(c,0) and psi_(c,c), c = M_k - 1, at alpha 0.1,
+    0.5, 0.9, p 1, 2, inf, ``levels`` and ``cli.theorem2_orders``, each side
+    at 1e-13 * max(|value|, 1); returns the number of values checked.
+    """
+    edges = [M - 1 for M in ctx.M[1:]]
+    characters = [(0, c) for c in edges] + [(c, 0) for c in edges] + [(c, c) for c in edges]
+    checked = 0
+    for a, b in characters:
+        f = FunctionFamily("character", (a, b)).build(ctx)
+        reports = theorem_reports(f, (0.1, 0.5, 0.9), (1.0, 2.0, math.inf),
+                                  levels=levels, orders=theorem2_orders(ctx))
+        for r in reports:
+            arg = r.k if r.claim == "theorem1" else r.n
+            want = character_theorem_sides(ctx.m, a, b, r.alpha, r.claim, arg)
+            for got, value in zip((r.lhs, r.rhs), want):
+                assert abs(got - value) <= 1e-13 * max(abs(value), 1.0), (a, b, r)
+                checked += 1
+    return checked
 
 
 def every_theorem_report(f, ps=(1.0, 2.0, 3.0, math.inf)):
