@@ -76,7 +76,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GroupContext, _check_index, _negate_ids, digit_table, translate_ids
+from .group import GroupContext, _check_index, _negate_ids, _real, digit_table, translate_ids
 from .kernels import cesaro_numbers
 from .transform import (
     SampledFunction2D,
@@ -138,13 +138,6 @@ def _lp_rescaled(mags: np.ndarray, p: float, axis, power_mean, out):
     safe = np.where(peak > 0.0, peak, 1.0)
     rescaled = np.mean((mags / safe) ** p, axis=axis) ** (1.0 / p) * np.squeeze(safe, axis)
     return np.where(redo, rescaled, out)
-
-
-def _real(value, what: str) -> float:
-    """``value`` as a float; a bool or a string, which float() would read, is a ValueError."""
-    if isinstance(value, (bool, np.bool_, str, bytes)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
 
 
 def _check_p(p: float) -> float:

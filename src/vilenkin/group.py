@@ -57,6 +57,13 @@ def _check_index(value, lo: int, hi: int | None, what: str) -> int:
     return n
 
 
+def _real(value, what: str) -> float:
+    """``value`` as a float; a bool or a string, which float() would read, is a ValueError."""
+    if isinstance(value, (bool, np.bool_, str, bytes)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class GroupContext:
     """Generating sequence m plus the derived mixed-radix scale table M."""

@@ -25,6 +25,7 @@ from .group import (
     GroupElement,
     _check_element,
     _check_index,
+    _real,
     digit_table,
     index_expand,
 )
@@ -161,24 +162,26 @@ def dirichlet_table(ctx: GroupContext) -> np.ndarray:
 
     The characters are formed one top digit j at a time: rows j * S to
     (j + 1) * S - 1 of the character table, S = M_{N-1}, are the Kronecker
-    product of row j of the top root table with the character table of the
-    first N - 1 coordinates.  Each block continues the running sum from the
-    row before it, so the full character table is never held, and every
-    entry is the same product and the same sequential sum as in a cumsum of
-    the full table.  Raises ResolutionExceededError before allocating when
-    M_N exceeds MAX_CELLS_1D.
+    product of the top roots exp(2*pi*i*j*k/m_{N-1}), read from
+    ``unit_roots``, with the character table of the first N - 1
+    coordinates.  Each block continues the running sum from the row before
+    it, so neither the full character table nor the top root table is held,
+    and every entry is the same product and the same sequential sum as in a
+    cumsum of the full table.  Raises ResolutionExceededError before
+    allocating when M_N exceeds MAX_CELLS_1D.
     """
     _check_cap(ctx, MAX_CELLS_1D)
-    top = _root_table(ctx.m[-1], 1)
+    top = ctx.m[-1]
+    roots = unit_roots(top)
     if ctx.level > 1:
         lower = character_table(ctx.truncate(ctx.level - 1))
     else:
         lower = np.ones((1, 1), dtype=np.complex128)
     step = lower.shape[0]
     out = np.zeros((ctx.size + 1, ctx.size), dtype=np.complex128)
-    for j in range(ctx.m[-1]):
+    for j in range(top):
         lo = j * step
-        out[lo + 1 : lo + step + 1] = np.kron(top[j : j + 1], lower)
+        out[lo + 1 : lo + step + 1] = np.kron(roots[j * np.arange(top) % top], lower)
         # row lo holds the sum so far, so the cumsum continues from it
         np.cumsum(out[lo : lo + step + 1], axis=0, out=out[lo : lo + step + 1])
     out.flags.writeable = False
@@ -203,7 +206,7 @@ def cesaro_numbers(beta: float, length: int) -> np.ndarray:
     prefix of a longer one.
     """
     length = _check_index(length, 0, MAX_TABLE_LENGTH, "table length")
-    beta = float(beta)
+    beta = _real(beta, "exponent")
     if not math.isfinite(beta):
         raise ValueError(f"exponent must be finite, got {beta}")
     n = np.arange(1, length + 1, dtype=np.float64)
@@ -306,5 +309,6 @@ def eq3_residual(beta: float, length: int) -> float:
 def eq4_residual(alpha: float, n: int = 10_000) -> float:
     """Gap |A_n^alpha * n^(-alpha) - 1/Gamma(alpha+1)| at a single n >= 1."""
     n = _check_index(n, 1, None, "order")
+    alpha = _real(alpha, "alpha")
     value = float(cesaro_numbers(alpha, n)[n])
     return abs(value * n ** (-alpha) - 1.0 / math.gamma(alpha + 1.0))

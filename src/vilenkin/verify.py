@@ -212,31 +212,29 @@ _PAIRWISE_LEAF = 128
 
 
 def _grid_mean(block: np.ndarray, reps: int) -> float:
-    """``np.mean(np.tile(block, (reps,) * block.ndim))``, bit for bit.
+    """``np.mean(np.tile(block, (reps, reps)))`` of a C-ordered (P, P) block, bit for bit.
 
-    ``block`` is C-ordered, as the tile is.  numpy sums a contiguous float64
-    array pairwise: a run of more than ``_PAIRWISE_LEAF`` entries is split
-    into halves at a multiple of 8, and a shorter run is a leaf.  When the
-    tiled side M_N = P * reps is a power of two, so is the period P, and
-    every split above one period of rows (then, inside a row, above P
-    entries or a leaf) has two identical halves.  Two identical halves sum
-    to exactly twice one half, and scaling by a power of two commutes with
-    the sum and the division of the mean, barring overflow.  So the mean of
-    the full tile is the mean of the smallest contiguous tile that the tree
-    repeats: P rows of max(P, 128) entries, or, when a leaf holds several
-    rows (M_N < 128), as many row copies as fill one leaf; never more than
-    the full tile.  Other sides tile in full.  When that tile is the block
-    itself (every copy count 1), the mean is taken of the block, without
-    the copy ``np.tile`` makes even then.
+    numpy sums a contiguous float64 array pairwise: a run of more than
+    ``_PAIRWISE_LEAF`` entries is split into halves at a multiple of 8, and
+    a shorter run is a leaf.  When the tiled side M_N = P * reps is a power
+    of two, so is the period P, and every split above one period of rows
+    (then, inside a row, above P entries or a leaf) has two identical
+    halves.  Two identical halves sum to exactly twice one half, and scaling
+    by a power of two commutes with the sum and the division of the mean,
+    barring overflow.  So the mean of the full tile is the mean of the
+    smallest contiguous tile that the tree repeats: P rows of max(P, 128)
+    entries, or, when a leaf holds several rows (M_N < 128), as many row
+    copies as fill one leaf; never more than the full tile.  Other sides
+    tile in full.  When that tile is the block itself, the mean is taken of
+    the block, without the copy ``np.tile`` makes even then.
     """
     period = block.shape[0]
     size = period * reps
-    copies = [reps] * block.ndim
+    copies = (reps, reps)
     if size & (size - 1) == 0:
-        copies[-1] = min(reps, max(1, _PAIRWISE_LEAF // period))
-        if block.ndim == 2:
-            copies[0] = min(reps, max(period, _PAIRWISE_LEAF // size) // period)
-    if copies == [1] * block.ndim:
+        copies = (min(reps, max(period, _PAIRWISE_LEAF // size) // period),
+                  min(reps, max(1, _PAIRWISE_LEAF // period)))
+    if copies == (1, 1):
         return float(np.mean(block))
     return float(np.mean(np.tile(block, copies)))
 
@@ -245,12 +243,12 @@ def _grid_mean(block: np.ndarray, reps: int) -> float:
 _PRODUCT_ENTRIES = 1 << 17
 
 
-def _kernel_integrals(ctx: GroupContext, coeffs: np.ndarray) -> tuple[float, float]:
-    """Exact integrals of |sum_i c_i D_i(u) D_i(v)| and |sum_i c_i D_i(u)|.
+def _kernel_integrals(ctx: GroupContext, coeffs: np.ndarray) -> float:
+    """Exact integral of |Q(u, v)| = |sum_i c_i D_i(u) D_i(v)| over the cell pairs.
 
     ``coeffs[i-1]`` multiplies D_i, i = 1..n.  D_i with i <= M_k depends on a
-    cell id only mod M_k, so the products cover one period P, and
-    ``_grid_mean`` takes their mean in the order of the full grid.
+    cell id only mod M_k, so the product covers one period P, and
+    ``_grid_mean`` takes its mean in the order of the full grid.
 
     The (P, P) product is formed in row blocks, each taken to its modulus
     before the next is formed, so only the float |.| of the product is held
@@ -291,8 +289,7 @@ def _kernel_integrals(ctx: GroupContext, coeffs: np.ndarray) -> tuple[float, flo
             top = np.abs(left.T @ rows)
             quad[block] = top
             quad[neg[block]] = top[:, neg]
-    line = np.abs(coeffs @ rows)
-    return _grid_mean(quad, reps), _grid_mean(line, reps)
+    return _grid_mean(quad, reps)
 
 
 def lemma1_report(
@@ -302,13 +299,15 @@ def lemma1_report(
 
     Returns the two-variable record (claim lemma1) and its one-variable
     specialization (claim lemma0), both over the same coefficients, which
-    must form a nonempty 1-D vector of finite reals.  When the sum of
+    must form a nonempty 1-D vector of finite reals (a bool, string or
+    object array is refused).  Lemma 0 takes the mean of |sum_i c_i D_i(u)|
+    over every cell, the sum ``eq23_profile`` forms.  When the sum of
     squares overflows, both sides are computed on c / 2^k, 2^k the largest
     power of two at most max |c|, and multiplied back by 2^k; a power of two
     divides out exactly from every step, so the ratio is that of c.
     """
     c = np.asarray(coeffs)
-    if c.ndim != 1 or np.iscomplexobj(c):
+    if c.ndim != 1 or c.dtype.kind not in "iuf":
         raise ValueError("coefficients must be a 1-D vector of reals")
     c = np.asarray(c, dtype=np.float64)
     n = len(c)
@@ -323,10 +322,9 @@ def lemma1_report(
         scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(c))))[1] - 1)
         c = c / scale
         squares = np.sum(c * c)
-    quad, line = _kernel_integrals(ctx, c)
     rhs = float(np.sqrt(squares) / math.sqrt(n))
-    lhs2 = quad / n
-    lhs1 = line / n
+    lhs2 = _kernel_integrals(ctx, c) / n
+    lhs1 = float(np.mean(np.abs(c @ dirichlet_table(ctx)[1 : n + 1]))) / n
     report2 = RatioReport(claim="lemma1", n=n, lhs=lhs2 * scale, rhs=rhs * scale,
                           ratio=_ratio(lhs2, rhs))
     report1 = RatioReport(claim="lemma0", n=n, lhs=lhs1 * scale, rhs=rhs * scale,
@@ -342,11 +340,7 @@ def lemma4_values(
     p_list = [_check_index(p, block, None, "p") for p in p_values]
     if not p_list:
         raise ValueError("empty p range")
-    out = np.empty(len(p_list), dtype=np.float64)
-    for idx, p in enumerate(p_list):
-        quad, _ = _kernel_integrals(ctx, _kernel_weights(alpha, block, p))
-        out[idx] = quad
-    return out
+    return np.array([_kernel_integrals(ctx, _kernel_weights(alpha, block, p)) for p in p_list])
 
 
 def lemma4_report(
@@ -367,7 +361,7 @@ def lemma5_report(ctx: GroupContext, alpha: float, n: int) -> RatioReport:
     gives the tail count s, which the report does not carry.
     """
     n = _check_index(n, 1, ctx.size - 1, "order")
-    quad, _ = _kernel_integrals(ctx, _kernel_weights(alpha, n, n))
+    quad = _kernel_integrals(ctx, _kernel_weights(alpha, n, n))
     rhs = log_factor(n)
     return RatioReport(
         claim="lemma5", alpha=float(alpha), n=n, lhs=quad, rhs=rhs,

@@ -20,7 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from vilenkin.group import GroupContext, add, cell_enumerate, cell_id, in_interval
+from vilenkin.group import GroupContext, add, cell_enumerate, cell_id, in_interval, norm_map
 from vilenkin.kernels import cesaro_numbers, character_table, dirichlet, dirichlet_table
 from vilenkin.transform import SpectralGrid2D, fvt_inverse_2d, partial_sum_rect
 from vilenkin.verify import _grid_mean
@@ -284,6 +284,38 @@ def pointwise_lemma4_values(
     return np.array(out)
 
 
+@lru_cache(maxsize=None)
+def _pointwise_kernels(ctx: GroupContext) -> np.ndarray:
+    """[i - 1, u] = D_i(u) for i = 1..M_N, each a literal character sum at one element."""
+    cells = cell_enumerate(ctx)
+    return np.array([[dirichlet(ctx, i, x) for x in cells] for i in range(1, ctx.size + 1)],
+                    dtype=np.clongdouble)
+
+
+def pointwise_kernel_line(ctx: GroupContext, coeffs) -> np.ndarray:
+    """|sum_i c_i D_i(u)| at every cell u, from pointwise Dirichlet sums in 80-bit precision."""
+    kernels = _pointwise_kernels(ctx)[: len(coeffs)]
+    return np.abs(np.asarray(coeffs, dtype=np.longdouble) @ kernels)
+
+
+def pointwise_lemma0(ctx: GroupContext, coeffs) -> float:
+    """Lemma 0's left side: the mean over the cells of |sum_i c_i D_i(u)|, over n."""
+    return float(pointwise_kernel_line(ctx, coeffs).mean() / len(coeffs))
+
+
+def pointwise_eq23_profile(ctx: GroupContext, alpha: float, n: int) -> np.ndarray:
+    """|sum_i A_{n-i}^{-alpha-1} D_i(u)| * |u|^(1-alpha) per cell, 0 at u = 0.
+
+    The weights are 80-bit and |u| comes from ``group.norm_map`` at each
+    element, not from a digit table.
+    """
+    weights = longdouble_cesaro(-alpha - 1.0, n - 1)[n - np.arange(1, n + 1)]
+    norms = np.array([norm_map(ctx, x) for x in cell_enumerate(ctx)], dtype=np.longdouble)
+    profile = pointwise_kernel_line(ctx, weights) * norms ** (1 - np.longdouble(alpha))
+    profile[0] = 0.0
+    return profile.astype(np.float64)
+
+
 def one_shot_kernel_moduli(
     ctx: GroupContext, coeffs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -299,10 +331,10 @@ def one_shot_kernel_moduli(
     return quad, np.abs(coeffs @ rows), ctx.size // period
 
 
-def one_shot_kernel_integrals(ctx: GroupContext, coeffs: np.ndarray) -> tuple[float, float]:
-    """The two weighted kernel integrals from ``one_shot_kernel_moduli``."""
-    quad, line, reps = one_shot_kernel_moduli(ctx, coeffs)
-    return _grid_mean(quad, reps), _grid_mean(line, reps)
+def one_shot_kernel_integrals(ctx: GroupContext, coeffs: np.ndarray) -> float:
+    """The two-variable weighted kernel integral from ``one_shot_kernel_moduli``."""
+    quad, _, reps = one_shot_kernel_moduli(ctx, coeffs)
+    return _grid_mean(quad, reps)
 
 
 def direct_cesaro_weights(n: int, alpha: float) -> np.ndarray:

@@ -21,6 +21,7 @@ from vilenkin import (
     rademacher,
 )
 from vilenkin.kernels import (
+    _root_table,
     compensated_cumsum,
     eq1_residual,
     eq2_residual,
@@ -148,6 +149,19 @@ class TestDirichlet:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_table_keeps_no_root_table_at_1024_cells(self):
+        # with one generator the top root table is 1024 x 1024, as large as
+        # the 16 MiB table; a cached copy of it held 32.2 MiB in all
+        dirichlet_table.cache_clear()
+        _root_table.cache_clear()
+        tracemalloc.start()
+        try:
+            dirichlet_table(GroupContext((1024,)))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 17 << 20
 
 
 class TestUnitRoots:

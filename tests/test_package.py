@@ -112,7 +112,7 @@ def test_generators_follow_the_index_rule():
     assert ctx.m == (2, 3) and all(type(v) is int for v in ctx.m)
 
 
-# One rule for every p and alpha argument: a bool or a string is a
+# One rule for every p, alpha and beta argument: a bool or a string is a
 # ValueError, though float() reads both; numbers, numpy scalars and inf pass.
 # Each row is (call, valid).
 def _real_cases():
@@ -129,6 +129,10 @@ def _real_cases():
         "lemma4_report.alpha": (lambda v: verify.lemma4_report(ctx, v, 1, [2, 3]), 0.5),
         "lemma5_report.alpha": (lambda v: verify.lemma5_report(ctx, v, 4), 0.5),
         "eq23_report.alpha": (lambda v: verify.eq23_report(ctx, v, 4), 0.5),
+        "cesaro_numbers.beta": (lambda v: kernels.cesaro_numbers(v, 3), 0.5),
+        "eq2_residual.beta": (lambda v: kernels.eq2_residual(v, 10), 0.5),
+        "eq3_residual.beta": (lambda v: kernels.eq3_residual(v, 10), 0.5),
+        "eq4_residual.alpha": (lambda v: kernels.eq4_residual(v, 10), 0.5),
     }
 
 
