@@ -12,19 +12,19 @@ Moduli of continuity are exact: a shift inside I_n permutes level-N cells,
 and sampled functions are constant on cells, so the supremum over I_n is the
 maximum over the M_N/M_n cells of I_n, the multiples of M_n.  One
 ``translate_ids`` call builds the permutations of all of them.  The
-single-shift kinds form each shifted difference once and reduce it for every
-p; since I_r holds every M_r-th shift of I_0, one level-0 table of these
-norms gives every level.  The double-shift kinds (``omega12``, ``total``)
-enumerate no column shift at p = inf or p = 2.  At p = inf the maximum over
-shifts and cells is the largest distance between two points of one coset,
-read from one reshape of f into the cosets of I_level x I_level2: for
-``total`` the points are the values of f, and for ``omega12`` the row
-differences f(x', y) - f(x, y) of two rows x != x' of one I_level coset,
-each unordered pair of rows once, as the reversed pair negates every
-difference exactly.  A farthest-pair search pairs only the points
-that the triangle inequality cannot rule out, and takes the same
-abs(a - b) as a full enumeration, so the maximum keeps its bits.  At
-p = 2, by Plancherel,
+single-shift kinds form each shifted difference once, for every grid of a
+stack at once, and reduce it for every p; since I_r holds every M_r-th shift
+of I_0, one level-0 table of these norms gives every level.  The
+double-shift kinds (``omega12``, ``total``) enumerate no column shift at
+p = inf or p = 2.  At p = inf the maximum over shifts and cells is the
+largest distance between two points of one coset, read from one reshape of
+f into the cosets of I_level x I_level2: for ``total`` the points are the
+values of f, and for ``omega12`` the row differences f(x', y) - f(x, y) of
+two rows x != x' of one I_level coset, each unordered pair of rows once, as
+the reversed pair negates every difference exactly.  A farthest-pair search
+pairs only the points that the triangle inequality cannot rule out, and
+takes the same abs(a - b) as a full enumeration, so the maximum keeps its
+bits.  At p = 2, by Plancherel,
 
     ||tau_(u,v) f - f||_2^2 = sum_k |f_hat(k)|^2 |psi_k1(u) psi_k2(v) - 1|^2,
 
@@ -122,6 +122,42 @@ def _lp_mags(mags: np.ndarray, p: float, axis=None):
     return float(out) if axis is None else out
 
 
+def _stack_norms(mags: np.ndarray, ps) -> np.ndarray:
+    """(len(ps), B) table of Lp means: entry (i, b) is ``_lp_mags(mags[b], ps[i])``.
+
+    Each block ``mags[b]`` is C-contiguous, so its sums run in its memory
+    order as those of a single grid do, and each root is the scalar power,
+    as a vector root moves last bits.  An entry whose mean of mags**p is not
+    a normal float is 0.0 if its block is all 0, else ``_lp_mags`` of its
+    block, which rescales.
+    """
+    table = np.empty((len(ps), len(mags)))
+    for i, p in enumerate(ps):
+        if math.isinf(p):
+            table[i] = mags.max(axis=(1, 2))
+            continue
+        with np.errstate(over="ignore"):
+            power_mean = np.mean(mags if p == 1.0 else mags**p, axis=(1, 2))
+        table[i] = [
+            mean ** (1.0 / p) if _TINY <= mean < math.inf
+            else _lp_mags(mags[b], p) if mags[b].max() > 0.0 else 0.0
+            for b, mean in enumerate(power_mean.tolist())
+        ]
+    return table
+
+
+def _stack_mags(diff: np.ndarray, split: int) -> np.ndarray:
+    """|diff| of a (B, M, M) stack as C-contiguous blocks, each in its grid's memory order.
+
+    The grids from ``split`` on are column-major: their blocks hold the
+    transpose, so that a block's memory order is that of its grid.
+    """
+    mags = np.empty(diff.shape)
+    np.abs(diff[:split], out=mags[:split])
+    np.abs(diff[split:], out=mags[split:].transpose(0, 2, 1))
+    return mags
+
+
 def _lp_rescaled(mags: np.ndarray, p: float, axis, power_mean, out):
     """Redo the entries of ``out`` whose mean of mags**p is not a normal float.
 
@@ -172,13 +208,20 @@ def cesaro_weights(n: int, alpha: float) -> np.ndarray:
     return weights
 
 
-def cesaro_mean(grid: SpectralGrid2D, n: int, alpha: float) -> SampledFunction2D:
-    """The (C,-alpha) mean of the quadratic partial sums, via one synthesis."""
-    n = _check_index(n, 1, grid.ctx.size, "mean order")
+def _cesaro_synthesis(
+    ctx: GroupContext, spectra: np.ndarray, n: int, alpha: float
+) -> np.ndarray:
+    """The values of the (C,-alpha) mean of order n of one spectrum or a stack of them."""
     weights = cesaro_weights(n, alpha)
     band = np.arange(n)
     multiplier = weights[np.maximum.outer(band, band)]
-    return _band_synthesis(grid.ctx, grid.values[:n, :n] * multiplier)
+    return _band_synthesis(ctx, spectra[..., :n, :n] * multiplier)
+
+
+def cesaro_mean(grid: SpectralGrid2D, n: int, alpha: float) -> SampledFunction2D:
+    """The (C,-alpha) mean of the quadratic partial sums, via one synthesis."""
+    n = _check_index(n, 1, grid.ctx.size, "mean order")
+    return SampledFunction2D(grid.ctx, _cesaro_synthesis(grid.ctx, grid.values, n, alpha))
 
 
 def shift_representatives(ctx: GroupContext, level: int) -> np.ndarray:
@@ -198,14 +241,24 @@ class ModulusReport:
     value: float
 
 
-def _axis_norms(f: SampledFunction2D, axis: int, level: int, ps) -> np.ndarray:
-    """Lp norms of f(. + u) - f along ``axis``: a row per p, a column per u in I_level."""
-    perms = translate_ids(f.ctx, shift_representatives(f.ctx, level))
-    table = np.empty((len(ps), len(perms)))
+def _axis_norms(
+    ctx: GroupContext, vals: np.ndarray, split: int, axis: int, level: int, ps
+) -> np.ndarray:
+    """Lp norms of f(. + u) - f along ``axis`` for each grid f of a stack.
+
+    ``vals`` is the (B, M_N, M_N) stack, its grids from ``split`` on
+    column-major ones.  The table has a row per p, a column per u in
+    I_level and a layer per grid.  Each difference reduces in the order a
+    single grid's did: along axis 0 row-major, along axis 1 in its grid's
+    own order.
+    """
+    perms = translate_ids(ctx, shift_representatives(ctx, level))
+    table = np.empty((len(ps), len(perms), len(vals)))
+    split = len(vals) if axis == 0 else split
     for j, perm in enumerate(perms):
-        mags = np.abs((f.values[perm, :] if axis == 0 else f.values[:, perm]) - f.values)
-        for i, p in enumerate(ps):
-            table[i, j] = _lp_mags(mags, p)
+        diff = np.take(vals, perm, axis=axis + 1)
+        diff -= vals
+        table[:, j] = _stack_norms(_stack_mags(diff, split), ps)
     return table
 
 
@@ -473,7 +526,8 @@ def modulus(
     f, scale = _safe_scaled(f)
     if kind in ("omega1", "omega2"):
         axis = 0 if kind == "omega1" else 1
-        value = float(_axis_norms(f, axis, level, [p]).max())
+        split = int(not f.values.flags.f_contiguous)
+        value = float(_axis_norms(f.ctx, f.values[None], split, axis, level, [p]).max())
     else:
         value = _double_shift_modulus(f, kind, level, level if second is None else second, p)
     return ModulusReport(kind, level, second, p, value * scale)

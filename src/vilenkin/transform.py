@@ -7,17 +7,22 @@ coordinate, each contracting a stride-M_t block with the m_t-point root
 table, for O(M_N * sum(m_k)) arithmetic in total.  Because the group is a
 direct product, the stages touch disjoint digit positions and no reordering
 pass is needed.  Each stage contracts the leading axis of a contiguous copy,
-so all the other axes form einsum's inner loop.  Two-dimensional grids are
-transformed axis by axis, and their results are column-major: norms reduce
-in memory order, and the last bits of reported values depend on it.
+so all the other axes, a stack's included, form einsum's inner loop.  A
+radix-2 stage is one add and one subtract instead: the einsum against the
+exact table [[1, 1], [1, -1]] forms the same a0 + a1 and a0 - a1, since
+0 + a0 and the products by +-1 are exact (only the sign of a zero can
+differ, and no norm sees it).  Two-dimensional grids are
+transformed along the last two axes, the last first, and a single grid's
+result is column-major: norms reduce in memory order, and the last bits of
+reported values depend on it.
 
 A spectrum that vanishes outside its leading n x n block has period M_j in
 both variables, M_j the smallest scale >= n, since characters below M_j see
 only the low j digits of a cell id.  Such a spectrum is synthesised on the
 grid of ``ctx.truncate(max(j, 1))`` and tiled back: partial sums, Cesaro
 means and ``random_poly`` families pay for M_j^2 cells, not M_N^2.  The tile
-is made column-major, so the tiled grid has the full synthesis's layout as
-well as its bits.
+of a single grid is made column-major, so it has the full synthesis's layout
+as well as its bits.
 
 Overflow has one rule.  The forward transforms, a modulus and both sides of
 a theorem report are homogeneous of degree 1 in f, so a grid whose peak |f|
@@ -139,24 +144,36 @@ def _decimate(
     """Apply the digit-wise butterfly stages along ``axis``.
 
     The transform axis is moved to the front of a contiguous copy, so each
-    stage contracts a leading axis and einsum's inner loop runs over all the
+    stage contracts a leading axis and its inner loop runs over all the
     other axes at once.  Every output is still summed over the digit in the
-    same order, so the values are bit for bit those of a last-axis contraction.
+    same order, so the values are bit for bit those of a last-axis
+    contraction, whatever the other axes hold.  A radix-2 stage overflows
+    to inf or nan without a warning, as the einsum does.
     """
     arr = np.asarray(values, dtype=np.complex128)
     out = np.ascontiguousarray(np.moveaxis(arr, axis, 0))
     shape = out.shape
     size = ctx.size
-    for mt, Mt in zip(ctx.m, ctx.M):
-        view = out.reshape(size // (mt * Mt), mt, Mt, -1)
-        out = np.einsum("qjrl,jk->qkrl", view, _root_table(mt, sign))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mt, Mt in zip(ctx.m, ctx.M):
+            view = out.reshape(size // (mt * Mt), mt, Mt, -1)
+            if mt == 2:
+                out = np.empty_like(view)
+                np.add(view[:, 0], view[:, 1], out=out[:, 0])
+                np.subtract(view[:, 0], view[:, 1], out=out[:, 1])
+            else:
+                out = np.einsum("qjrl,jk->qkrl", view, _root_table(mt, sign))
     return np.moveaxis(out.reshape(shape), 0, axis)
 
 
 def _decimate_2d(ctx: GroupContext, values: np.ndarray, sign: int) -> np.ndarray:
-    # Column-major, as norms reduce in memory order and report bytes depend on it.
-    half = _decimate(ctx, values, sign, axis=1)
-    return np.asfortranarray(_decimate(ctx, half, sign, axis=0))
+    """The stages along the last two axes, the last first; leading axes are a stack.
+
+    A single grid comes back column-major, as norms reduce in memory order
+    and report bytes depend on it.
+    """
+    out = _decimate(ctx, _decimate(ctx, values, sign, axis=-1), sign, axis=-2)
+    return np.asfortranarray(out) if out.ndim == 2 else out
 
 
 def fvt_forward(f: SampledFunction1D) -> SpectralGrid1D:
@@ -183,31 +200,36 @@ def fvt_inverse_2d(grid: SpectralGrid2D) -> SampledFunction2D:
     return SampledFunction2D(grid.ctx, _decimate_2d(grid.ctx, grid.values, 1))
 
 
-def _band_synthesis(ctx: GroupContext, coeffs: np.ndarray) -> SampledFunction2D:
-    """Synthesis of a spectrum that is ``coeffs`` at the low corner and 0 elsewhere.
+def _band_synthesis(ctx: GroupContext, coeffs: np.ndarray) -> np.ndarray:
+    """Synthesis of spectra that are ``coeffs`` at the low corner and 0 elsewhere.
 
-    With n the larger side of ``coeffs`` and M_j the smallest scale >= n, the
-    result has period M_j in both variables: it is synthesised on the grid of
-    ``ctx.truncate(max(j, 1))`` and tiled back (one tile at j = N).  The sums
-    are bit for bit those of the full grid, since the stages of digits t >= j
-    see only index digit 0 and pass each value through times 1; at j = 0 the
-    band is at most the (0, 0) coefficient, and the digit-0 stage is one of
-    those.
+    ``coeffs`` is one band, or a stack of bands along its leading axes, each
+    synthesised as on its own.  With n the larger side of a band and M_j the
+    smallest scale >= n, the result has period M_j in both variables: it is
+    synthesised on the grid of ``ctx.truncate(max(j, 1))`` and tiled back
+    (one tile at j = N).  The sums are bit for bit those of the full grid,
+    since the stages of digits t >= j see only index digit 0 and pass each
+    value through times 1; at j = 0 the band is at most the (0, 0)
+    coefficient, and the digit-0 stage is one of those.  The values of a
+    single band come back column-major, a stack's row-major.
     """
-    sub = ctx.truncate(max(_band_level(ctx, max(coeffs.shape)), 1))
-    padded = np.zeros((sub.size, sub.size), dtype=np.complex128)
-    padded[: coeffs.shape[0], : coeffs.shape[1]] = coeffs
+    lead, band = coeffs.shape[:-2], coeffs.shape[-2:]
+    sub = ctx.truncate(max(_band_level(ctx, max(band)), 1))
+    padded = np.zeros(lead + (sub.size, sub.size), dtype=np.complex128)
+    padded[..., : band[0], : band[1]] = coeffs
     out = _decimate_2d(sub, padded, 1)
     reps = ctx.size // sub.size
+    if lead:
+        return np.tile(out, (1,) * len(lead) + (reps, reps))
     # Column-major like the full synthesis, as norms reduce in memory order: the
     # transpose of the column-major result is row-major, and so is its tile.
-    return SampledFunction2D(ctx, np.tile(out.T, (reps, reps)).T)
+    return np.tile(out.T, (reps, reps)).T
 
 
 def partial_sum_rect(grid: SpectralGrid2D, n1: int, n2: int) -> SampledFunction2D:
     """Rectangular partial sum S_{n1,n2}: synthesis of indices k1 < n1, k2 < n2."""
     n1, n2 = (_check_index(n, 0, grid.ctx.size, "truncation") for n in (n1, n2))
-    return _band_synthesis(grid.ctx, grid.values[:n1, :n2])
+    return SampledFunction2D(grid.ctx, _band_synthesis(grid.ctx, grid.values[:n1, :n2]))
 
 
 def marginal_partial_sum(grid: SpectralGrid2D, axis: int, n: int) -> SampledFunction2D:

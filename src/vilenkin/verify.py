@@ -18,7 +18,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .approx import _axis_norms, _check_alpha, _check_p, _lp_mags, cesaro_mean
+from .approx import (
+    _axis_norms,
+    _cesaro_synthesis,
+    _check_alpha,
+    _check_p,
+    _stack_mags,
+    _stack_norms,
+)
 from .group import (
     GroupContext,
     _band_level,
@@ -50,6 +57,7 @@ __all__ = [
     "eq23_profile",
     "eq23_report",
     "theorem_reports",
+    "theorem_stack",
 ]
 
 
@@ -174,7 +182,7 @@ class FunctionFamily:
             block = rng.standard_normal((degree, degree)) + 1j * rng.standard_normal(
                 (degree, degree)
             )
-            return _band_synthesis(ctx, block)
+            return SampledFunction2D(ctx, _band_synthesis(ctx, block))
         else:
             (seed,) = self.params
             rng = np.random.default_rng(seed)
@@ -426,9 +434,33 @@ def theorem_reports(
     over every p and every shift of I_0; level r is the max over the columns
     ``::M_r``.  Reports are ordered by alpha, then theorem 1 levels and
     theorem 2 orders as given, then p.  Both sides follow the overflow rule
-    of ``transform``.
+    of ``transform``.  This is ``theorem_stack`` of f alone.
     """
-    ctx = f.ctx
+    return theorem_stack([f], alphas, ps, levels, orders)[0]
+
+
+def theorem_stack(
+    functions: Sequence[SampledFunction2D],
+    alphas: Sequence[float],
+    ps: Sequence[float],
+    levels: Sequence[int] = (),
+    orders: Sequence[int] = (),
+) -> list[list[RatioReport]]:
+    """``theorem_reports`` of each function of one group, in one pass over the stack.
+
+    Past each function's forward transform, each step runs once for the
+    (B, M_N, M_N) stack of the functions: each Cesaro mean's multiplier and
+    band synthesis, and each shift's gather and difference.  Every norm is
+    taken of one function's own block, in that function's memory order, so
+    its reports have the bits it has alone.  Each function takes the
+    overflow rule on its own.
+    """
+    functions = list(functions)
+    if not functions:
+        return []
+    ctx = functions[0].ctx
+    if any(f.ctx != ctx for f in functions):
+        raise ValueError("functions belong to different group contexts")
     cases = []
     for k in levels:
         k = _check_index(k, 1, ctx.level, "level")
@@ -440,30 +472,34 @@ def theorem_reports(
     alphas = [_check_alpha(a) for a in alphas]
     ps = [_check_p(p) for p in ps]
     if not (cases and alphas and ps):
-        return []
+        return [[] for _ in functions]
 
-    f, factor = _safe_scaled(f)
-    spectrum = fvt_forward_2d(f)
+    # the row-major grids first: ``_stack_mags`` keeps the rest transposed
+    stack = sorted(range(len(functions)), key=lambda b: functions[b].values.flags.f_contiguous)
+    split = sum(not f.values.flags.f_contiguous for f in functions)
+    scaled = [_safe_scaled(functions[b]) for b in stack]
+    vals = np.stack([f.values for f, _ in scaled])
+    spectra = np.stack([fvt_forward_2d(f).values for f, _ in scaled])
     lhs = {}
     for alpha in alphas:
         for order in dict.fromkeys(case[3] for case in cases):
-            mags = np.abs(cesaro_mean(spectrum, order, alpha).values - f.values)
-            for p in ps:
-                lhs[alpha, order, p] = _lp_mags(mags, p)
+            diff = _cesaro_synthesis(ctx, spectra, order, alpha)
+            diff -= vals
+            lhs[alpha, order] = _stack_norms(_stack_mags(diff, split), ps)
     top = max(case[1] for case in cases)
-    w1, w2 = (_axis_norms(f, axis, 0, ps) for axis in (0, 1))
-    omega = {p: [float(w1[i, ::ctx.M[r]].max()) + float(w2[i, ::ctx.M[r]].max())
-                 for r in range(top)] for i, p in enumerate(ps)}
+    w1, w2 = (_axis_norms(ctx, vals, split, axis, 0, ps) for axis in (0, 1))
 
-    reports = []
-    for alpha in alphas:
-        for claim, k, n, order, scale in cases:
-            for p in ps:
-                left = lhs[alpha, order, p]
-                rhs = _modulus_rhs(ctx, k, alpha, scale, omega[p])
-                reports.append(RatioReport(
-                    claim=claim, alpha=alpha, p=p, k=k, n=n, lhs=left * factor,
-                    rhs=rhs * factor, ratio=_ratio(left, rhs),
-                ))
+    reports: list[list[RatioReport]] = [[] for _ in functions]
+    for j, (b, (_, factor)) in enumerate(zip(stack, scaled)):
+        omega = {p: [float(w1[i, ::ctx.M[r], j].max()) + float(w2[i, ::ctx.M[r], j].max())
+                     for r in range(top)] for i, p in enumerate(ps)}
+        for alpha in alphas:
+            for claim, k, n, order, scale in cases:
+                for i, p in enumerate(ps):
+                    left = float(lhs[alpha, order][i, j])
+                    rhs = _modulus_rhs(ctx, k, alpha, scale, omega[p])
+                    reports[b].append(RatioReport(
+                        claim=claim, alpha=alpha, p=p, k=k, n=n, lhs=left * factor,
+                        rhs=rhs * factor, ratio=_ratio(left, rhs),
+                    ))
     return reports
-

@@ -1,5 +1,6 @@
 import csv
 import errno
+import hashlib
 import io
 import json
 import math
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from vilenkin import GroupContext, cli, verify
+from vilenkin.verify import parse_family, theorem_stack
 from vilenkin.cli import (
     ConfigError,
     RunConfig,
@@ -30,6 +32,10 @@ def _reject_constant(token):
 def read_rows(path):
     with open(path, newline="", encoding="utf-8") as handle:
         return list(csv.DictReader(handle))
+
+
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 class TestConfig:
@@ -402,6 +408,47 @@ class TestOrderGrids:
         assert cli.lemma5_orders(GroupContext(m)) == orders
 
 
+class TestTheoremStacks:
+    def test_stacks_keep_to_the_cell_budget(self):
+        dyadic = GroupContext((2,) * 6)
+        labels = cli.default_families(dyadic)
+        stacks = cli._stacks(dyadic, labels)
+        assert [label for stack in stacks for label in stack] == list(labels)
+        assert all(len(stack) * dyadic.size**2 <= cli._STACK_CELLS for stack in stacks)
+        assert [len(stack) for stack in stacks] == [3, 3, 3, 4]
+        big = GroupContext((2, 3, 2, 3, 2, 3))
+        assert [len(stack) for stack in cli._stacks(big, cli.default_families(big))] == [1] * 13
+
+    def test_one_stack_peak_at_2_6(self):
+        # At its peak, the band synthesis of a top-order mean, the pass holds
+        # per function of the stack: its grid and its spectrum (2 complex grids
+        # of M_N^2 cells), the band and the padded band (2), the first butterfly
+        # pass's result, the second pass's copy and two stage buffers (4), and
+        # the tile (1).  That is 9 grids, 9.8 measured with numpy's
+        # temporaries; 12 per function bounds it with 20% to spare.  All 13
+        # default families in one stack peak near 2.3 times the bound.
+        ctx = GroupContext((2,) * 6)
+        labels = cli.default_families(ctx)
+        largest = max(cli._stacks(ctx, labels), key=len)
+        bound = 12 * 16 * ctx.size**2 * len(largest)
+        levels, orders = range(1, ctx.level), cli.theorem2_orders(ctx)
+
+        def peak(functions):
+            tracemalloc.start()
+            try:
+                theorem_stack(functions, (0.1, 0.5, 0.9), (1.0, 2.0, math.inf), levels, orders)
+                _, top = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return top
+
+        functions = [parse_family(label).build(ctx) for label in labels]
+        by_label = dict(zip(labels, functions))
+        peak(functions[:1])  # the group's cached tables come first
+        assert peak([by_label[label] for label in largest]) <= bound
+        assert peak(functions) > bound
+
+
 class TestSweep:
     def test_summary_structure(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -436,6 +483,12 @@ class TestSweep:
         assert (tmp_path / "a.summary.json").read_bytes() == (
             tmp_path / "b.summary.json"
         ).read_bytes()
+        # the default 2^6 families run in several theorem stacks, at --jobs 3 in threads
+        dyadic = ["sweep", "--m", "2,2,2,2,2,2"]
+        assert main(dyadic + ["--out", str(tmp_path / "c.csv"), "--jobs", "1"]) == 0
+        assert main(dyadic + ["--out", str(tmp_path / "d.csv"), "--jobs", "3"]) == 0
+        assert sha256(tmp_path / "c.csv") == sha256(tmp_path / "d.csv")
+        assert sha256(tmp_path / "c.summary.json") == sha256(tmp_path / "d.summary.json")
 
     def test_mixed_radix_theorem_sweep(self, tmp_path, capsys):
         # no benchmark workload reaches an odd-radix theorem path; this runs
@@ -445,6 +498,21 @@ class TestSweep:
                      "--out", str(out)]) == 0
         assert f"2340 rows (0 errored) -> {out}" in capsys.readouterr().out
         assert len(read_rows(out)) == 2340
+        assert sha256(out) == (
+            "be217b0e9a9aac4e7cdb4a87b5b948d479c9810a5b153f3373769c660054fb36")
+        assert sha256(tmp_path / "t216.summary.json") == (
+            "72c43c3708ea23c8fe996b70331f7d41a5038479db1cc0918df9cb9e9b7fc317")
+
+    def test_dyadic_theorem_sweep_bytes(self, tmp_path):
+        # the theorem rows of the sweep-dyadic benchmark workload; its pinned
+        # digests cover every claim
+        out = tmp_path / "t64.csv"
+        assert main(["sweep", "--m", "2,2,2,2,2,2", "--claims", "theorem1,theorem2",
+                     "--out", str(out)]) == 0
+        assert sha256(out) == (
+            "12c6ce7514ecfd225ae7eceed5dd7b4b09aee543df3a2a349f581c71b2a422cd")
+        assert sha256(tmp_path / "t64.summary.json") == (
+            "210cd2ca0b63a30fbe9c92ed80dff9ee3a7e4229860d973f60096ed31604bf3d")
 
     def test_cap_file_controls_exit(self, tmp_path):
         loose = tmp_path / "loose.json"
@@ -538,10 +606,14 @@ class TestSweep:
     def test_nan_ratio_breaches_cap(self, tmp_path, monkeypatch):
         # a NaN lhs on the p = 1e6 rows gives NaN ratios after finite p = 2
         # ratios; the max over the claim must not drop them
-        exact = verify._lp_mags
-        monkeypatch.setattr(
-            verify, "_lp_mags", lambda mags, p: math.nan if p == 1e6 else exact(mags, p)
-        )
+        exact = verify._stack_norms
+
+        def nan_at_1e6(mags, ps):
+            table = exact(mags, ps)
+            table[[i for i, p in enumerate(ps) if p == 1e6]] = math.nan
+            return table
+
+        monkeypatch.setattr(verify, "_stack_norms", nan_at_1e6)
         caps = tmp_path / "caps.json"
         caps.write_text(json.dumps({"theorem1": 1.0}), encoding="utf-8")
         out = tmp_path / "s.csv"

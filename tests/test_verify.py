@@ -25,9 +25,12 @@ from vilenkin import (
     GroupContext,
     ResolutionExceededError,
     SampledFunction2D,
+    cesaro_mean,
     cesaro_weights,
     dirichlet_table,
     eq23_report,
+    fvt_forward_2d,
+    index_expand,
     lemma1_report,
     lemma4_report,
     lemma5_report,
@@ -36,18 +39,24 @@ from vilenkin import (
     tail_decompose,
     theorem_reports,
 )
+from vilenkin.approx import _lp_mags, shift_representatives
 from vilenkin.cli import eq23_orders, lemma1_coefficient_sets, theorem2_orders
+from vilenkin.group import translate_ids
+from vilenkin.transform import _safe_scaled
 from vilenkin.verify import (
     _PRODUCT_ENTRIES,
     FunctionFamily,
+    RatioReport,
     _grid_mean,
     _kernel_integrals,
     _kernel_weights,
     _modulus_rhs,
+    _ratio,
     eq23_profile,
     lemma4_values,
     log_factor,
     parse_family,
+    theorem_stack,
 )
 
 
@@ -750,6 +759,82 @@ class TestTheoremReports:
         checked = band_edge_characters_checked(ctx, levels=range(1, 5), characters=characters,
                                                transform_rounding=True)
         assert checked == 4 * 3 * 3 * (4 + len(theorem2_orders(ctx))) * 2
+
+
+def one_function_pass(f, alphas, ps, levels, orders):
+    """The theorem rows of f from its own grid, one mean and one shift at a time.
+
+    Each norm is ``_lp_mags`` of a grid in a stated memory order: f's own
+    for sigma_n f - f and for the shifts along axis 1, row-major for the
+    shifts along axis 0.  These are the orders a stacked pass must keep.
+    """
+    ctx = f.ctx
+    g, factor = _safe_scaled(f)
+    own = np.asfortranarray if g.values.flags.f_contiguous else np.ascontiguousarray
+    spectrum = fvt_forward_2d(g)
+    perms = translate_ids(ctx, shift_representatives(ctx, 0))
+    omega = {}
+    for p in ps:
+        w1 = [_lp_mags(np.ascontiguousarray(np.abs(g.values[perm, :] - g.values)), p)
+              for perm in perms]
+        w2 = [_lp_mags(own(np.abs(g.values[:, perm] - g.values)), p) for perm in perms]
+        omega[p] = [max(w1[:: ctx.M[r]]) + max(w2[:: ctx.M[r]]) for r in range(ctx.level)]
+    cases = [("theorem1", k, None, ctx.M[k], 1.0) for k in levels]
+    cases += [("theorem2", index_expand(ctx, n).order, n, n, log_factor(n)) for n in orders]
+    reports = []
+    for alpha in alphas:
+        for claim, k, n, order, scale in cases:
+            mags = own(np.abs(cesaro_mean(spectrum, order, alpha).values - g.values))
+            for p in ps:
+                left = _lp_mags(mags, p)
+                rhs = _modulus_rhs(ctx, k, alpha, scale, omega[p])
+                reports.append(RatioReport(
+                    claim=claim, alpha=alpha, p=p, k=k, n=n, lhs=left * factor,
+                    rhs=rhs * factor, ratio=_ratio(left, rhs),
+                ))
+    return reports
+
+
+class TestTheoremStack:
+    @pytest.mark.parametrize("m", [(2,) * 6, (2, 3, 2, 3), (3, 3, 3)])
+    def test_rows_equal_each_function_alone(self, m):
+        ctx = GroupContext(m)
+        rng = np.random.default_rng(33)
+        shape = (ctx.size, ctx.size)
+        functions = [
+            FunctionFamily("random_cell", (7,)).build(ctx),
+            # synthesised, so column-major
+            FunctionFamily("random_poly", (ctx.M[2], 101)).build(ctx),
+            # every shift difference and sigma_n f - f are exactly 0
+            FunctionFamily("character", (0, 0)).build(ctx),
+            # scaled down by 2^k first, beside grids that are not
+            SampledFunction2D(ctx, np.asfortranarray(
+                rng.uniform(1.0, 1.7, shape) * rng.choice([-1.0, 1.0j], shape) * 2.0**960)),
+            # its means of |.|^2 and |.|^3 underflow: the rescaled norms
+            SampledFunction2D(ctx, 1e-200 * (rng.standard_normal(shape)
+                                             + 1j * rng.standard_normal(shape))),
+        ]
+        assert [f.values.flags.f_contiguous for f in functions] == [0, 1, 0, 1, 0]
+        assert _safe_scaled(functions[3])[1] > 1.0
+        alphas, ps = (0.1, 0.5, 0.9), (1.0, 2.0, 3.0, math.inf)
+        levels, orders = range(1, ctx.level), theorem2_orders(ctx)
+        stacked = theorem_stack(functions, alphas, ps, levels, orders)
+        assert len(stacked) == len(functions)
+        for f, rows in zip(functions, stacked):
+            alone = theorem_reports(f, alphas, ps, levels, orders)
+            assert list(map(repr, rows)) == list(map(repr, alone))
+            own = one_function_pass(f, alphas, ps, levels, orders)
+            assert list(map(repr, rows)) == list(map(repr, own))
+        assert all(r.rhs == 0.0 for r in stacked[2])
+        assert all(r.lhs > 0.0 for r in stacked[4] if r.p == 2.0)
+
+    def test_empty_stack_and_mixed_groups(self, ctx2323):
+        assert theorem_stack([], [0.5], [2.0], levels=[1]) == []
+        f = random_grid_2d(ctx2323, 5)
+        assert theorem_stack([f, f], [0.5], [2.0]) == [[], []]
+        with pytest.raises(ValueError, match="different group contexts"):
+            theorem_stack([f, random_grid_2d(GroupContext((2, 3, 2)), 5)], [0.5], [2.0],
+                          levels=[1])
 
 
 def band_edge_characters_checked(ctx, levels, characters=None, transform_rounding=False):
