@@ -37,12 +37,12 @@ from .transform import SampledFunction2D
 from .verify import (
     FunctionFamily,
     RatioReport,
+    _labelled_stack,
     eq23_report,
     lemma1_report,
     lemma4_report,
     lemma5_report,
     parse_family,
-    theorem_stack,
 )
 
 __all__ = [
@@ -238,7 +238,9 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> No
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([_fmt(value) for value in row] for row in rows)
+        # a float, the most common value, takes ``_fmt``'s last branch directly
+        writer.writerows(["%.17g" % value if type(value) is float else _fmt(value)
+                          for value in row] for row in rows)
 
 
 def _say(line: str) -> None:
@@ -347,9 +349,11 @@ def _theorem_rows(cfg: RunConfig, ctx: GroupContext, families: Sequence[Function
                             alpha=alpha, p=p, k=k, n=n, error=str(exc))
                 for claim, k, n in cases for alpha in cfg.alpha for p in cfg.p
             ]
-    stacked = theorem_stack([f for _, f in built], cfg.alpha, cfg.p, levels, orders)
-    for (family, _), reports in zip(built, stacked):
-        rows += [replace(r, family=family.label, seed=family.seed) for r in reports]
+    stacked = _labelled_stack([f for _, f in built],
+                              [(family.label, family.seed) for family, _ in built],
+                              cfg.alpha, cfg.p, levels, orders)
+    for reports in stacked:
+        rows += reports
     return rows
 
 

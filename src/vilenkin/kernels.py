@@ -100,13 +100,15 @@ def unit_roots(m: int) -> np.ndarray:
     return roots
 
 
-@lru_cache(maxsize=None)
 def _root_table(m: int, sign: int) -> np.ndarray:
-    """[j, k] = exp(2*pi*i*sign*j*k/m): a Kronecker factor of the character table."""
+    """[j, k] = exp(2*pi*i*sign*j*k/m): a Kronecker factor of the character table.
+
+    Built on each call, not cached: at a single generator it is as large as
+    a 2D grid the transform stage contracts with it, and a cached one would
+    outlive the transform.
+    """
     idx = np.outer(np.arange(m), np.arange(m))
-    table = unit_roots(m)[(sign * idx) % m]
-    table.flags.writeable = False
-    return table
+    return unit_roots(m)[(sign * idx) % m]
 
 
 def rademacher(ctx: GroupContext, k: int, x: GroupElement) -> complex:

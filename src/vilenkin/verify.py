@@ -214,90 +214,195 @@ def _kernel_weights(alpha: float, terms: int, p: int) -> np.ndarray:
     return cesaro_numbers(-_check_alpha(alpha) - 1.0, p - 1)[p - np.arange(1, terms + 1)]
 
 
-# Entries of a leaf of numpy's pairwise summation (PW_BLOCKSIZE), summed
-# with eight running accumulators rather than split further.
+# Complex entries in one row block of the kernel product: 2 MiB.
+_PRODUCT_ENTRIES = 1 << 17
+
+# Entries of one leaf of ``_pairwise_walk``: 64 rows of |Q| at P = 1024.
+_LEAF_ENTRIES = 1 << 16
+
+# numpy sums a run of at most this many float64 entries with eight running
+# accumulators (PW_BLOCKSIZE) and splits only longer runs.
 _PAIRWISE_LEAF = 128
 
 
-def _grid_mean(block: np.ndarray, reps: int) -> float:
-    """``np.mean(np.tile(block, (reps, reps)))`` of a C-ordered (P, P) block, bit for bit.
+def _pairwise_walk(start: int, length: int, width: int, period: int, leaf) -> float:
+    """numpy's pairwise sum of entries start..start+length of a tiled row-major grid.
 
-    numpy sums a contiguous float64 array pairwise: a run of more than
-    ``_PAIRWISE_LEAF`` entries is split into halves at a multiple of 8, and
-    a shorter run is a leaf.  When the tiled side M_N = P * reps is a power
-    of two, so is the period P, and every split above one period of rows
-    (then, inside a row, above P entries or a leaf) has two identical
-    halves.  Two identical halves sum to exactly twice one half, and scaling
-    by a power of two commutes with the sum and the division of the mean,
-    barring overflow.  So the mean of the full tile is the mean of the
-    smallest contiguous tile that the tree repeats: P rows of max(P, 128)
-    entries, or, when a leaf holds several rows (M_N < 128), as many row
-    copies as fill one leaf; never more than the full tile.  Other sides
-    tile in full.  When that tile is the block itself, the mean is taken of
-    the block, without the copy ``np.tile`` makes even then.
+    The grid has ``width`` columns and tiles a (period, period) block.  numpy
+    sums a contiguous float64 run of more than ``_PAIRWISE_LEAF`` entries as
+    the sum of its halves, split at n/2 - (n/2 mod 8), so every node of that
+    tree is ``np.add.reduce`` of its own entries: a run of at most
+    ``_LEAF_ENTRIES`` is summed by ``leaf(start, length, width)``, and the
+    leaves may be summed in any order.  Halves that hold the same entries
+    sum to exactly twice one half: a node whose halves are P rows apart is
+    twice its first half, and a node of 2^j whole rows whose every row
+    splits into two equal halves is twice the same rows of the grid half as
+    wide (every split of such a node falls between rows).
     """
-    period = block.shape[0]
-    size = period * reps
-    copies = (reps, reps)
-    if size & (size - 1) == 0:
-        copies = (min(reps, max(period, _PAIRWISE_LEAF // size) // period),
-                  min(reps, max(1, _PAIRWISE_LEAF // period)))
-    if copies == (1, 1):
-        return float(np.mean(block))
-    return float(np.mean(np.tile(block, copies)))
+    half = length // 2 - length // 2 % 8
+    if length > _PAIRWISE_LEAF and 2 * half == length and half % (width * period) == 0:
+        return 2.0 * _pairwise_walk(start, half, width, period, leaf)
+    rows = length // width
+    if (width > _PAIRWISE_LEAF and width % 16 == 0 and width // 2 % period == 0
+            and start % width == 0 and length == rows * width and rows & (rows - 1) == 0):
+        return 2.0 * _pairwise_walk(start // 2, length // 2, width // 2, period, leaf)
+    if length <= _LEAF_ENTRIES:
+        return leaf(start, length, width)
+    return (_pairwise_walk(start, half, width, period, leaf)
+            + _pairwise_walk(start + half, length - half, width, period, leaf))
 
 
-# Complex entries in one row block of the kernel product: 2 MiB.
-_PRODUCT_ENTRIES = 1 << 17
+def _leaf_sum(block: np.ndarray, start: int, length: int, width: int) -> float:
+    """``np.add.reduce`` of a run of the grid whose rows from ``start // width`` on are ``block``.
+
+    The rows of ``block`` repeat across the grid's ``width`` columns.
+    """
+    if width > block.shape[1]:
+        block = np.tile(block, width // block.shape[1])
+    offset = start % width
+    return float(np.add.reduce(block.ravel()[offset : offset + length]))
+
+
+def _leaf_rows(start: int, length: int, width: int, period: int) -> np.ndarray:
+    """The rows of the (period, period) block under each grid row that a run meets."""
+    return np.arange(start // width, (start + length - 1) // width + 1) % period
+
+
+def _kernel_rows(rows: np.ndarray, coeffs: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Rows ``ids`` of |Q| as one BLAS product of the weighted columns ``ids`` with ``rows``."""
+    left = rows[:, ids]
+    left *= coeffs[:, None]
+    return np.abs(left.T @ rows)
+
+
+def _formed_rows(rows: np.ndarray, coeffs: np.ndarray, new: np.ndarray, neg: np.ndarray):
+    """(ids, rows of |Q|) of each product block over the rows ``new``, then of its mirror rows.
+
+    The rows are split into near-equal blocks of at most ``_PRODUCT_ENTRIES``
+    + P entries; row -u = ``neg[u]`` of a block is its row u at the
+    negated columns.
+    """
+    period = rows.shape[1]
+    count = -(-len(new) * period // _PRODUCT_ENTRIES)
+    for k in range(count):
+        block = new[k * len(new) // count : (k + 1) * len(new) // count]
+        top = _kernel_rows(rows, coeffs, block)
+        yield block, top
+        mates = np.flatnonzero(neg[block] != block)
+        if len(mates):
+            yield neg[block[mates]], top[mates][:, neg]
+
+
+def _leaf_plan(needs: list[np.ndarray], neg: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """The leaves in visit order, each with the rows u <= -u to form before it.
+
+    ``needs[j]`` holds the distinct rows of |Q| that leaf j reads; forming
+    row u also gives row -u = ``neg[u]``.  Next comes the pending leaf that
+    reads the most rows formed, so the mirror rows of one leaf are read soon
+    after they are formed and the rows held between leaves stay within
+    about two leaves.  A block of one row joins the block before it (the
+    first block takes in the next), since BLAS computes a 1-row product by
+    its matrix-vector path.
+    """
+    rep = np.minimum(np.arange(len(neg)), neg)
+    formed = np.zeros(len(neg), dtype=bool)
+    pending, plan = list(range(len(needs))), []
+    while pending:
+        j = max(pending, key=lambda i: (np.count_nonzero(formed[needs[i]]), -i))
+        pending.remove(j)
+        new = np.zeros(len(neg), dtype=bool)
+        new[rep[needs[j]]] = True
+        new = (new & ~formed).nonzero()[0]
+        formed[new] = formed[neg[new]] = True
+        plan.append((j, new))
+    prev = None
+    for i, (j, new) in enumerate(plan):
+        if prev is not None and 1 in (len(new), len(plan[prev][1])):
+            plan[prev] = (plan[prev][0], np.concatenate([plan[prev][1], new]))
+            plan[i] = (j, new[:0])
+        elif len(new):
+            prev = i
+    return plan
 
 
 def _kernel_integrals(ctx: GroupContext, coeffs: np.ndarray) -> float:
     """Exact integral of |Q(u, v)| = |sum_i c_i D_i(u) D_i(v)| over the cell pairs.
 
     ``coeffs[i-1]`` multiplies D_i, i = 1..n.  D_i with i <= M_k depends on a
-    cell id only mod M_k, so the product covers one period P, and
-    ``_grid_mean`` takes its mean in the order of the full grid.
+    cell id only mod M_k, so |Q| over the M_N x M_N cell pairs tiles its
+    (P, P) block over one period P.  The mean is ``np.mean`` of that tiled
+    grid, bit for bit, but the grid is never held: ``_pairwise_walk``
+    follows numpy's summation tree down to leaves of at most
+    ``_LEAF_ENTRIES`` entries.  A block that takes no more entries than one
+    leaf (P <= 256) is formed whole and read by every leaf.  A larger block
+    is not held either: the rows of |Q| a leaf reads are formed just before
+    it is summed and dropped after the last leaf that reads them.
 
-    The (P, P) product is formed in row blocks, each taken to its modulus
-    before the next is formed, so only the float |.| of the product is held
-    in full.  The rows are split into ceil(P * P / ``_PRODUCT_ENTRIES``)
-    near-equal blocks, so each block is within one row of that budget, and
-    when there is more than one block each has at least 31 rows for every
-    P up to the dense-table cap.  Every block of at least 2 rows is computed
-    by BLAS as in the one-block product (a 1-row block takes its
-    matrix-vector path and can change the last bits).
-
-    With real c and D_i(-u) = conj D_i(u), Q(-u, v) = conj Q(u, -v), so row
-    -u of |Q| is row u gathered at the negated columns.  When P is a power
-    of two and some radix below the period's level exceeds 2, only the rows
-    u <= -u are formed, split into the same number of blocks (each of at
-    least 16 rows when there are several, and at least 2 rows when one
-    block holds them all), and each block also fills its mirror rows.  The
-    gather keeps the bits only while BLAS computes columns v and -v alike,
-    which held at every power-of-two P tried; at other P it moved last
-    bits, and with radix 2 alone -u = u, so those periods run the slice
-    loop.
+    Rows are formed in BLAS products of at least 2 rows (a 1-row block takes
+    the matrix-vector path and can change the last bits) and at most
+    ``_PRODUCT_ENTRIES`` + P entries, each row with the bits it has in one
+    product of all P rows.  With real c and D_i(-u) = conj D_i(u),
+    Q(-u, v) = conj Q(u, -v), so row -u of |Q| is row u gathered at the
+    negated columns.  When P is a power of two and some radix below the
+    period's level exceeds 2, only the rows u <= -u are formed and each also
+    gives its mirror row.  The gather keeps the bits only while BLAS
+    computes columns v and -v alike, which held at every power-of-two P
+    tried; at other P it moved last bits, and with radix 2 alone -u = u, so
+    those periods form every row.  ``_leaf_plan`` orders the leaves so that
+    the rows held between two leaves, mirror rows included, stay within
+    about two leaves.
     """
     level = _band_level(ctx, len(coeffs))
-    period = ctx.M[level]
-    reps = ctx.size // period
+    period, side = ctx.M[level], ctx.size
     rows = dirichlet_table(ctx)[1 : len(coeffs) + 1, :period]
-    count = -(-period * period // _PRODUCT_ENTRIES)
-    quad = np.empty((period, period))
+    ids = np.arange(period)
     if period & (period - 1) or all(mk == 2 for mk in ctx.m[:level]):
-        for i in range(count):
-            lo, hi = i * period // count, (i + 1) * period // count
-            np.abs((coeffs[:, None] * rows[:, lo:hi]).T @ rows, out=quad[lo:hi])
+        neg = ids
     else:
-        neg = _negate_ids(ctx, np.arange(period))
-        half = np.flatnonzero(np.arange(period) <= neg)
-        for block in np.array_split(half, count):
-            left = rows[:, block]
-            left *= coeffs[:, None]
-            top = np.abs(left.T @ rows)
-            quad[block] = top
-            quad[neg[block]] = top[:, neg]
-    return _grid_mean(quad, reps)
+        neg = _negate_ids(ctx, ids)
+    if period * period <= _LEAF_ENTRIES:
+        # the whole block takes no more than one leaf: every leaf reads it
+        quad = np.empty((period, period))
+        for got, values in _formed_rows(rows, coeffs, np.flatnonzero(ids <= neg), neg):
+            quad[got] = values
+
+        def leaf(start: int, length: int, width: int) -> float:
+            return _leaf_sum(quad[_leaf_rows(start, length, width, period)], start, length, width)
+
+        return _pairwise_walk(0, side * side, side, period, leaf) / (side * side)
+
+    leaves = []
+    _pairwise_walk(0, side * side, side, period, lambda *leaf: leaves.append(leaf) or 0.0)
+    # the grid rows of each leaf, as rows of |Q|, the first P of them distinct
+    reads = [_leaf_rows(*leaf, period) for leaf in leaves]
+    plan = _leaf_plan([read[:period] for read in reads], neg)
+    last = np.empty(period, dtype=int)
+    for i, (j, _) in enumerate(plan):
+        last[reads[j]] = i
+    # each row of |Q| held is row ``where`` of ``held[owner]``
+    owner, where = np.empty(period, dtype=int), np.empty(period, dtype=int)
+    held, ends, sums = [], [], {}
+    for i, (j, new) in enumerate(plan):
+        for got, values in _formed_rows(rows, coeffs, new, neg):
+            owner[got], where[got] = len(held), np.arange(len(got))
+            held.append(values)
+            ends.append(last[got].max())
+        read = reads[j]
+        src = owner[read]
+        if src.min() == src.max():
+            block = held[src[0]][where[read]]
+        else:
+            block = np.empty((len(read), period))
+            for b in dict.fromkeys(src.tolist()):
+                mask = src == b
+                block[mask] = held[b][where[read[mask]]]
+        sums[leaves[j]] = _leaf_sum(block, *leaves[j])
+        del block  # not held through the next leaf's products
+        for b, end in enumerate(ends):
+            if end == i:
+                held[b] = None
+    total = _pairwise_walk(0, side * side, side, period, lambda *leaf: sums[leaf])
+    return total / (side * side)
 
 
 def lemma1_report(
@@ -343,12 +448,19 @@ def lemma1_report(
 def lemma4_values(
     ctx: GroupContext, alpha: float, k: int, p_values: Sequence[int]
 ) -> np.ndarray:
-    """The kernel integral II at each p: sum to M_k with weights A_{p-i}^{-a-1}."""
+    """The kernel integral II at each p: sum to M_k with weights A_{p-i}^{-a-1}.
+
+    One table of A_j^{-a-1} up to j = max(p) - 1 serves every p: a shorter
+    table is a bit-exact prefix of it, so each p reads the weights
+    ``_kernel_weights`` gives.
+    """
     block = ctx.M[_check_index(k, 0, ctx.level, "level")]
     p_list = [_check_index(p, block, None, "p") for p in p_values]
     if not p_list:
         raise ValueError("empty p range")
-    return np.array([_kernel_integrals(ctx, _kernel_weights(alpha, block, p)) for p in p_list])
+    table = cesaro_numbers(-_check_alpha(alpha) - 1.0, max(p_list) - 1)
+    terms = np.arange(1, block + 1)
+    return np.array([_kernel_integrals(ctx, table[p - terms]) for p in p_list])
 
 
 def lemma4_report(
@@ -455,6 +567,18 @@ def theorem_stack(
     its reports have the bits it has alone.  Each function takes the
     overflow rule on its own.
     """
+    return _labelled_stack(functions, [("", None)] * len(functions), alphas, ps, levels, orders)
+
+
+def _labelled_stack(
+    functions: Sequence[SampledFunction2D],
+    labels: Sequence[tuple[str, int | None]],
+    alphas: Sequence[float],
+    ps: Sequence[float],
+    levels: Sequence[int] = (),
+    orders: Sequence[int] = (),
+) -> list[list[RatioReport]]:
+    """``theorem_stack``, each function's reports built with its (family, seed) label."""
     functions = list(functions)
     if not functions:
         return []
@@ -491,6 +615,7 @@ def theorem_stack(
 
     reports: list[list[RatioReport]] = [[] for _ in functions]
     for j, (b, (_, factor)) in enumerate(zip(stack, scaled)):
+        family, seed = labels[b]
         omega = {p: [float(w1[i, ::ctx.M[r], j].max()) + float(w2[i, ::ctx.M[r], j].max())
                      for r in range(top)] for i, p in enumerate(ps)}
         for alpha in alphas:
@@ -499,7 +624,7 @@ def theorem_stack(
                     left = float(lhs[alpha, order][i, j])
                     rhs = _modulus_rhs(ctx, k, alpha, scale, omega[p])
                     reports[b].append(RatioReport(
-                        claim=claim, alpha=alpha, p=p, k=k, n=n, lhs=left * factor,
-                        rhs=rhs * factor, ratio=_ratio(left, rhs),
+                        claim=claim, family=family, seed=seed, alpha=alpha, p=p, k=k, n=n,
+                        lhs=left * factor, rhs=rhs * factor, ratio=_ratio(left, rhs),
                     ))
     return reports

@@ -23,7 +23,6 @@ import numpy as np
 from vilenkin.group import GroupContext, add, cell_enumerate, cell_id, in_interval, norm_map
 from vilenkin.kernels import cesaro_numbers, character_table, dirichlet, dirichlet_table
 from vilenkin.transform import SpectralGrid2D, fvt_inverse_2d, partial_sum_rect
-from vilenkin.verify import _grid_mean
 
 
 def naive_forward_1d(ctx: GroupContext, values: np.ndarray) -> np.ndarray:
@@ -332,9 +331,9 @@ def one_shot_kernel_moduli(
 
 
 def one_shot_kernel_integrals(ctx: GroupContext, coeffs: np.ndarray) -> float:
-    """The two-variable weighted kernel integral from ``one_shot_kernel_moduli``."""
+    """The two-variable weighted kernel integral: the mean of the tiled ``one_shot_kernel_moduli``."""
     quad, _, reps = one_shot_kernel_moduli(ctx, coeffs)
-    return _grid_mean(quad, reps)
+    return float(np.mean(np.tile(quad, (reps, reps))))
 
 
 def direct_cesaro_weights(n: int, alpha: float) -> np.ndarray:

@@ -21,7 +21,6 @@ from vilenkin import (
     rademacher,
 )
 from vilenkin.kernels import (
-    _root_table,
     compensated_cumsum,
     eq1_residual,
     eq2_residual,
@@ -154,7 +153,6 @@ class TestDirichlet:
         # with one generator the top root table is 1024 x 1024, as large as
         # the 16 MiB table; a cached copy of it held 32.2 MiB in all
         dirichlet_table.cache_clear()
-        _root_table.cache_clear()
         tracemalloc.start()
         try:
             dirichlet_table(GroupContext((1024,)))

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -166,6 +167,21 @@ class TestLayout:
             assert np.array_equal(_decimate(ctx, x, sign), last)
             middle = np.swapaxes(_last_axis_reference(ctx, np.swapaxes(x, 1, 2), sign), 1, 2)
             assert np.array_equal(_decimate(ctx, x, sign, axis=1), middle)
+
+    def test_transform_keeps_no_root_table(self):
+        # at one generator a stage contracts with a 1024 x 1024 root table,
+        # 16 MiB, as large as a 2D grid; cached, the forward and inverse
+        # tables kept 32 MiB after the transforms returned
+        ctx = GroupContext((1024,))
+        f = SampledFunction1D(ctx, random_vector(ctx, 3))
+        tracemalloc.start()
+        try:
+            back = fvt_inverse(fvt_forward(f))
+            del back
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 1 << 20
 
     def test_2d_results_are_column_major(self, ctx2323):
         # lp_norm reduces in memory order, so the last bits of every norm, and

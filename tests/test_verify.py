@@ -41,16 +41,20 @@ from vilenkin import (
 )
 from vilenkin.approx import _lp_mags, shift_representatives
 from vilenkin.cli import eq23_orders, lemma1_coefficient_sets, theorem2_orders
-from vilenkin.group import translate_ids
+from vilenkin.group import _negate_ids, translate_ids
 from vilenkin.transform import _safe_scaled
 from vilenkin.verify import (
+    _LEAF_ENTRIES,
     _PRODUCT_ENTRIES,
     FunctionFamily,
     RatioReport,
-    _grid_mean,
     _kernel_integrals,
+    _kernel_rows,
     _kernel_weights,
+    _leaf_rows,
+    _leaf_sum,
     _modulus_rhs,
+    _pairwise_walk,
     _ratio,
     eq23_profile,
     lemma4_values,
@@ -127,26 +131,44 @@ def mirrored_row_count(ctx, period):
 
 
 def spy_kernel_product(monkeypatch):
-    """Hold each |Q| that ``_grid_mean`` sees and the height of each |.| product block."""
-    held, heights = [], []
+    """Hold each product block of |Q| with its row ids, and each row of |Q| a leaf sum reads."""
+    formed, read = [], {}
 
-    def holding_mean(block, reps):
-        held.append(block)
-        return _grid_mean(block, reps)
+    def holding_rows(rows, coeffs, ids):
+        top = _kernel_rows(rows, coeffs, ids)
+        formed.append((ids.copy(), top.copy()))
+        return top
 
-    class CountingNumpy:
-        def __getattr__(self, name):
-            return getattr(np, name)
+    def reading_sum(block, start, length, width):
+        period = block.shape[1]
+        for i, row in enumerate(block, start // width):
+            read[i % period] = row.copy()
+        return _leaf_sum(block, start, length, width)
 
-        @staticmethod
-        def abs(x, *args, **kwargs):
-            if np.ndim(x) == 2:
-                heights.append(len(x))
-            return np.abs(x, *args, **kwargs)
+    monkeypatch.setattr("vilenkin.verify._kernel_rows", holding_rows)
+    monkeypatch.setattr("vilenkin.verify._leaf_sum", reading_sum)
+    return formed, read
 
-    monkeypatch.setattr("vilenkin.verify._grid_mean", holding_mean)
-    monkeypatch.setattr("vilenkin.verify.np", CountingNumpy())
-    return held, heights
+
+def assert_rows_of_one_product(formed, read, quad):
+    """Every formed and every read row of |Q| has the bits of the one-product row."""
+    bits = quad.view(np.int64)
+    assert sorted(read) == list(range(len(quad)))
+    for u, row in read.items():
+        assert np.array_equal(row.view(np.int64), bits[u]), u
+    for ids, top in formed:
+        assert np.array_equal(top.view(np.int64), bits[ids]), ids
+
+
+def assert_blocks_keep_the_budget(formed, period):
+    """Each product block has at least 2 rows and at most ``_PRODUCT_ENTRIES`` + P entries."""
+    heights = [len(ids) for ids, _ in formed]
+    assert all(min(2, period) <= h and h * period <= _PRODUCT_ENTRIES + period
+               for h in heights), heights
+
+
+def formed_row_count(formed):
+    return sum(len(ids) for ids, _ in formed)
 
 
 def full_grid_integrals(ctx, coeffs):
@@ -171,7 +193,7 @@ def kernel_coefficient_sets(ctx):
 
 
 def grid_blocks(period, seed):
-    """C-ordered (P, P) |.|-like blocks for ``_grid_mean``: mixed magnitudes, zeros."""
+    """C-ordered (P, P) |.|-like blocks to tile: mixed magnitudes, zeros."""
     rng = np.random.default_rng(seed)
     shape = (period, period)
     mixed = np.abs(rng.standard_normal(shape)) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
@@ -183,25 +205,46 @@ def tiled_mean(block, reps):
     return float(np.mean(np.tile(block, (reps,) * block.ndim)))
 
 
+def walk_mean(block, reps):
+    """The mean of the tiled block from ``_pairwise_walk`` over ``_leaf_sum``."""
+    period = len(block)
+    side = period * reps
+
+    def leaf(start, length, width):
+        return _leaf_sum(block[_leaf_rows(start, length, width, period)], start, length, width)
+
+    return _pairwise_walk(0, side * side, side, period, leaf) / (side * side)
+
+
+# Leaves of 128 entries split every row at M_N >= 256, and leaves of 1000
+# entries end inside rows, so the halving, the doubling of repeated halves
+# and the leaf edges are all met at the sides below, not only at the default.
+LEAF_SIZES = (128, 1000, _LEAF_ENTRIES)
+
+
 class TestGridMean:
     @pytest.mark.parametrize("size", [2**a for a in range(1, 11)] + [4096])
-    def test_equals_tiled_mean_at_power_of_two_sides(self, size):
+    def test_equals_tiled_mean_at_power_of_two_sides(self, size, monkeypatch):
         # every period up to 1024; two at 4096, whose full tiles take 128 MB
         periods = [4, 256] if size == 4096 else [2**b for b in range(size.bit_length())]
-        for period in periods:
-            for i, block in enumerate(grid_blocks(period, size + period)):
-                reps = size // period
-                assert _grid_mean(block, reps) == tiled_mean(block, reps), (period, i)
+        for leaf in LEAF_SIZES:
+            monkeypatch.setattr("vilenkin.verify._LEAF_ENTRIES", leaf)
+            for period in periods:
+                for i, block in enumerate(grid_blocks(period, size + period)):
+                    reps = size // period
+                    assert walk_mean(block, reps) == tiled_mean(block, reps), (leaf, period, i)
 
     @pytest.mark.parametrize(
         "m", [(2, 3, 2, 3), (3,) * 5, (2, 2, 3), (4, 2, 5)], ids=["2323", "3^5", "223", "425"]
     )
-    def test_equals_tiled_mean_on_other_sides(self, m):
+    def test_equals_tiled_mean_on_other_sides(self, m, monkeypatch):
         ctx = GroupContext(m)
-        for period in ctx.M:
-            for i, block in enumerate(grid_blocks(period, period)):
-                reps = ctx.size // period
-                assert _grid_mean(block, reps) == tiled_mean(block, reps), (period, i)
+        for leaf in LEAF_SIZES:
+            monkeypatch.setattr("vilenkin.verify._LEAF_ENTRIES", leaf)
+            for period in ctx.M:
+                for i, block in enumerate(grid_blocks(period, period)):
+                    reps = ctx.size // period
+                    assert walk_mean(block, reps) == tiled_mean(block, reps), (leaf, period, i)
 
 
 class TestKernelIntegrals:
@@ -232,28 +275,25 @@ class TestKernelIntegrals:
 
     @pytest.mark.parametrize("m", [(3,) * 6, (2,) * 10, (4,) * 5], ids=["3^6", "2^10", "4^5"])
     def test_row_blocks_bit_identical_to_one_product(self, m, monkeypatch):
-        # at P = M_N the product runs in row blocks: 145 or 146 rows at 3^6,
-        # 128 at 2^10, 66 mirrored rows at 4^5; the lemma 5 weights and a
-        # unit reach that period.
+        # at P = M_N each leaf forms its own rows of |Q|: about 45 rows a
+        # leaf at 3^6, 64 at 2^10, 36 or 64 mirrored rows at 4^5; the lemma 5
+        # weights and a unit reach that period.
         # A mean of ~10^6 entries can hide a last-bit change in one row (a
-        # 1-row block takes BLAS's matrix-vector path), so |Q| is compared too.
-        held = []
-
-        def holding_mean(block, reps):
-            held.append(block)
-            return _grid_mean(block, reps)
-
-        monkeypatch.setattr("vilenkin.verify._grid_mean", holding_mean)
+        # 1-row block takes BLAS's matrix-vector path), so every row of |Q|
+        # that is formed or read is compared too.
+        formed, read = spy_kernel_product(monkeypatch)
         ctx = GroupContext(m)
         top = [_kernel_weights(alpha, n, n)
                for alpha in (0.1, 0.5, 0.9) for n in (ctx.M[-2] + 1, ctx.size - 1)]
         unit = np.zeros(ctx.size)
         unit[-1] = 1.0
         for coeffs in kernel_coefficient_sets(ctx) + top + [unit, np.ones(ctx.size)]:
-            held.clear()
+            formed.clear()
+            read.clear()
             assert _kernel_integrals(ctx, coeffs) == one_shot_kernel_integrals(ctx, coeffs)
             quad, _, _ = one_shot_kernel_moduli(ctx, coeffs)
-            assert np.array_equal(held[0].view(np.int64), quad.view(np.int64)), len(coeffs)
+            assert_rows_of_one_product(formed, read, quad)
+            assert_blocks_keep_the_budget(formed, len(quad))
 
     def test_peak_memory_at_1024_cells(self):
         # the full table is 16 MiB; one product with its weighted copy, the
@@ -301,44 +341,97 @@ class TestKernelIntegrals:
         # power-of-two P, while at P = 6 of 2,3,2,3,2 a mirror moved last
         # bits of the lemma 4 and 5 rows.  So only power-of-two periods with a
         # radix above 2 form half the rows, and the rest form all of them.
-        held, heights = spy_kernel_product(monkeypatch)
+        formed, read = spy_kernel_product(monkeypatch)
         ctx = GroupContext(m)
         for coeffs in mirror_coefficient_sets(ctx):
-            held.clear()
-            heights.clear()
+            formed.clear()
+            read.clear()
             assert _kernel_integrals(ctx, coeffs) == one_shot_kernel_integrals(ctx, coeffs)
             quad, _, _ = one_shot_kernel_moduli(ctx, coeffs)
-            assert np.array_equal(held[0].view(np.int64), quad.view(np.int64)), len(coeffs)
-            assert sum(heights) == mirrored_row_count(ctx, len(quad)), len(coeffs)
+            assert_rows_of_one_product(formed, read, quad)
+            assert_blocks_keep_the_budget(formed, len(quad))
+            assert formed_row_count(formed) == mirrored_row_count(ctx, len(quad)), len(coeffs)
 
     def test_mirror_forms_half_the_rows_at_1024_cells(self, monkeypatch):
         # 32 cells of 4^5 (digits in {0, 2}) are their own negatives, so 528
-        # of 1024 rows are formed, in 8 blocks of 66 rather than 16 of 64
-        held, heights = spy_kernel_product(monkeypatch)
+        # of 1024 rows are formed, each once, all of them rows u <= -u
+        formed, read = spy_kernel_product(monkeypatch)
         ctx = GroupContext((4,) * 5)
         coeffs = _kernel_weights(0.9, ctx.size - 1, ctx.size - 1)
         assert _kernel_integrals(ctx, coeffs) == one_shot_kernel_integrals(ctx, coeffs)
         quad, _, _ = one_shot_kernel_moduli(ctx, coeffs)
-        assert np.array_equal(held[0].view(np.int64), quad.view(np.int64))
-        assert heights == [66] * 8
+        assert_rows_of_one_product(formed, read, quad)
+        assert_blocks_keep_the_budget(formed, ctx.size)
+        ids = np.concatenate([ids for ids, _ in formed])
+        neg = _negate_ids(ctx, np.arange(ctx.size))
+        assert len(set(ids.tolist())) == len(ids) == 528
+        assert (ids <= neg[ids]).all()
 
     def test_one_generator_blocks_keep_the_budget(self, monkeypatch):
         # with one generator the period 1024 is the only scale above 1, so a
         # block height taken from the scales held all 513 mirrored rows at
-        # once; the block count ceil(P * P / 2^17) gives 8 blocks of 64 or 65
-        held, heights = spy_kernel_product(monkeypatch)
+        # once; leaf j of 64 rows reads the negations of rows in leaves
+        # 15 - j and 16 - j, so no leaf holds all of its mirror rows
+        formed, read = spy_kernel_product(monkeypatch)
         ctx = GroupContext((1024,))
         top = [_kernel_weights(alpha, ctx.size - 1, ctx.size - 1) for alpha in (0.1, 0.5, 0.9)]
         for coeffs in mirror_coefficient_sets(ctx) + top:
-            held.clear()
-            heights.clear()
+            formed.clear()
+            read.clear()
             assert _kernel_integrals(ctx, coeffs) == one_shot_kernel_integrals(ctx, coeffs)
             quad, _, _ = one_shot_kernel_moduli(ctx, coeffs)
-            period = len(quad)
-            assert np.array_equal(held[0].view(np.int64), quad.view(np.int64)), len(coeffs)
-            assert sum(heights) == mirrored_row_count(ctx, period), len(coeffs)
-            assert all(min(2, period) <= h and h * period <= _PRODUCT_ENTRIES + period
-                       for h in heights), heights
+            assert_rows_of_one_product(formed, read, quad)
+            assert_blocks_keep_the_budget(formed, len(quad))
+            assert formed_row_count(formed) == mirrored_row_count(ctx, len(quad)), len(coeffs)
+
+    @pytest.mark.parametrize("m, orders", [
+        ((1024,), (2, 700, 1023)),
+        ((8, 8, 8), (300, 511)),
+        ((3,) * 6, (700,)),
+        ((2,) * 10, (400, 512)),
+        ((4,) * 5, (257, 640, 1023)),
+    ], ids=["1024", "888", "3^6", "2^10-tiled", "4^5"])
+    def test_leaf_walk_bit_identical_to_one_product(self, m, orders, monkeypatch):
+        # leaves that are not closed under negation: at (1024,) leaf j reads
+        # the negations of rows in leaves 15 - j and 16 - j, and at (8,8,8)
+        # the negations of a 128-row leaf fall in two leaves; at 3^6 and P =
+        # 729 the leaves end inside rows; at 2^10 and P = 512 the period
+        # tiles twice per side; at 4^5 the leaves are closed.  c = [-0.1, 1]
+        # reaches P = 1024 at (1024,) with two terms.
+        formed, read = spy_kernel_product(monkeypatch)
+        ctx = GroupContext(m)
+        for n in orders:
+            alternating = np.where(np.arange(n) % 2, 1.0, -0.1)
+            for coeffs in [_kernel_weights(0.1, n, n), _kernel_weights(0.9, n, n), alternating]:
+                formed.clear()
+                read.clear()
+                assert _kernel_integrals(ctx, coeffs) == one_shot_kernel_integrals(ctx, coeffs)
+                quad, _, _ = one_shot_kernel_moduli(ctx, coeffs)
+                assert_rows_of_one_product(formed, read, quad)
+                assert_blocks_keep_the_budget(formed, len(quad))
+
+    @pytest.mark.parametrize("m", [(4,) * 5, (1024,), (2,) * 10], ids=["4^5", "1024", "2^10"])
+    def test_peak_memory_of_one_call_at_1024_cells(self, m):
+        # A leaf of the walk holds 2^16 entries, 64 rows at P = 1024.  Above
+        # the table, an n = 1023 call holds at most one product block of a
+        # leaf's rows as weighted columns and as complex product (64 x 1023
+        # and 64 x 1024 entries, 1 MiB each) and four leaves of float rows
+        # (the block's |.| and mirror rows, the rows another leaf holds, the
+        # stacked leaf; 0.5 MiB each): 4 MiB.  The (P, P) |Q| alone was 8 MiB.
+        ctx = GroupContext(m)
+        dirichlet_table(ctx)
+        rows = (1 << 16) // ctx.size
+        bound = 2 * (rows * ctx.size * 16) + 4 * (rows * ctx.size * 8)
+        coeffs = _kernel_weights(0.9, ctx.size - 1, ctx.size - 1)
+        tracemalloc.start()
+        try:
+            warm, _ = tracemalloc.get_traced_memory()
+            _kernel_integrals(ctx, coeffs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert bound == 4 << 20
+        assert peak - warm <= bound
 
     def test_peak_memory_with_one_generator_at_1024_cells(self):
         # one block of 513 rows with its weighted copy and complex product
@@ -473,6 +566,16 @@ class TestLemma4:
             rtol=0.0,
             atol=1e-12,
         )
+
+    def test_one_weight_table_keeps_the_bits(self):
+        # every p reads its weights from the table of the largest p
+        ctx = GroupContext((4, 4, 4))
+        for k in range(ctx.level):
+            p_values = [ctx.M[k] + 30, ctx.M[k], ctx.M[k] + 7]
+            for alpha in (0.1, 0.9):
+                each = [_kernel_integrals(ctx, _kernel_weights(alpha, ctx.M[k], p))
+                        for p in p_values]
+                assert lemma4_values(ctx, alpha, k, p_values).tolist() == each, (k, alpha)
 
     def test_report_takes_max(self, ctx2323):
         p_range = range(ctx2323.M[2], ctx2323.M[2] + 10)
