@@ -60,9 +60,10 @@ and without symmetry.  Both passes run one gather loop over tiles: row
 shifts times column shifts that take the same points, one row shift per
 tile in the double-precision pass.  A block gathers the column shifts of
 several row shifts at once, and each shift's magnitudes are reduced in
-float64 over their own contiguous (y, x) block, so a shift's norm does not
-depend on the other shifts of its block, and the maximum keeps the bits of
-computing every shift.  When every shift ties, as for a constant, the
+float64 over their own contiguous (y, x) block by the module's one Lp
+mean, scalar root included, so a shift's norm does not depend on the
+other shifts of its block, and the maximum keeps the bits of computing
+every shift.  When every shift ties, as for a constant, the
 screen keeps them all and its cost comes on top of the full pass.
 
 A modulus takes the overflow rule of ``transform``: a grid that peaks at or
@@ -105,31 +106,18 @@ _TINY = float(np.finfo(float).tiny)
 _EPS = float(np.finfo(float).eps)
 
 
-def _lp_mags(mags: np.ndarray, p: float, axis=None):
-    """Lp mean of the magnitudes ``mags``, over every entry or along ``axis``."""
-    if math.isinf(p):
-        out = np.max(mags, axis=axis)
-    else:
-        with np.errstate(over="ignore"):
-            # x**1 == x, so p = 1 reduces the magnitudes without a copy
-            power_mean = np.mean(mags if p == 1.0 else mags**p, axis=axis)
-        out = power_mean ** (1.0 / p)
-        lo = hi = power_mean
-        if axis is not None:
-            lo, hi = power_mean.min(), power_mean.max()
-        if not _TINY <= lo <= hi < math.inf:
-            out = _lp_rescaled(mags, p, axis, power_mean, out)
-    return float(out) if axis is None else out
+def _lp_mags(mags: np.ndarray, p: float) -> float:
+    """Lp mean of every entry of the magnitudes ``mags``."""
+    return float(_stack_norms(mags[None], [p])[0, 0])
 
 
 def _stack_norms(mags: np.ndarray, ps) -> np.ndarray:
-    """(len(ps), B) table of Lp means: entry (i, b) is ``_lp_mags(mags[b], ps[i])``.
+    """(len(ps), B) table of Lp means: entry (i, b) is the mean of block ``mags[b]`` at ``ps[i]``.
 
-    Each block ``mags[b]`` is C-contiguous, so its sums run in its memory
-    order as those of a single grid do, and each root is the scalar power,
+    This is the one Lp mean of the package.  Each block sums in its own
+    memory order, as a single grid does, and each root is the scalar power,
     as a vector root moves last bits.  An entry whose mean of mags**p is not
-    a normal float is 0.0 if its block is all 0, else ``_lp_mags`` of its
-    block, which rescales.
+    a normal float is 0.0 if its block is all 0, else ``_lp_rescaled``.
     """
     table = np.empty((len(ps), len(mags)))
     for i, p in enumerate(ps):
@@ -140,10 +128,20 @@ def _stack_norms(mags: np.ndarray, ps) -> np.ndarray:
             power_mean = np.mean(mags if p == 1.0 else mags**p, axis=(1, 2))
         table[i] = [
             mean ** (1.0 / p) if _TINY <= mean < math.inf
-            else _lp_mags(mags[b], p) if mags[b].max() > 0.0 else 0.0
+            else _lp_rescaled(mags[b], p) if mags[b].max() > 0.0 else 0.0
             for b, mean in enumerate(power_mean.tolist())
         ]
     return table
+
+
+def _lp_rescaled(mags: np.ndarray, p: float) -> float:
+    """Lp mean of one block of magnitudes, not all 0, computed scaled by its maximum.
+
+    A large finite p can overflow mags**p, or underflow it to a subnormal or
+    0, which leaves the p-th root with few or no correct bits.
+    """
+    peak = float(mags.max())
+    return float(np.mean((mags / peak) ** p)) ** (1.0 / p) * peak
 
 
 def _stack_mags(diff: np.ndarray, split: int) -> np.ndarray:
@@ -156,24 +154,6 @@ def _stack_mags(diff: np.ndarray, split: int) -> np.ndarray:
     np.abs(diff[:split], out=mags[:split])
     np.abs(diff[split:], out=mags[split:].transpose(0, 2, 1))
     return mags
-
-
-def _lp_rescaled(mags: np.ndarray, p: float, axis, power_mean, out):
-    """Redo the entries of ``out`` whose mean of mags**p is not a normal float.
-
-    A large finite p can overflow mags**p, or underflow it to a subnormal or
-    0, which leaves the p-th root with few or no correct bits.  Only those
-    entries are recomputed scaled by their maximum, so every entry whose
-    mean is a normal float keeps the bits of the plain expression.
-    """
-    peak = np.max(mags, axis=axis, keepdims=True)
-    inexact = ~((power_mean >= _TINY) & (power_mean < math.inf))
-    redo = inexact & (np.squeeze(peak, axis) > 0.0)
-    if not redo.any():
-        return out
-    safe = np.where(peak > 0.0, peak, 1.0)
-    rescaled = np.mean((mags / safe) ** p, axis=axis) ** (1.0 / p) * np.squeeze(safe, axis)
-    return np.where(redo, rescaled, out)
 
 
 def _check_p(p: float) -> float:
@@ -402,7 +382,9 @@ def _tile_norms(vals_t: np.ndarray, kind: str, p: float, row_perms, col_perms, t
                     diff -= ref
                     mags = np.abs(diff).astype(float, copy=False)
                     at = np.add.outer(rc * C, tile_cols[col : col + block])
-                    norms[at] = _lp_mags(mags, p, axis=(2, 3))
+                    # one (y, x) block per shift
+                    blocks = mags.reshape(-1, *mags.shape[2:])
+                    norms[at] = _stack_norms(blocks, [p]).reshape(at.shape)
     return norms.reshape(-1, C)
 
 

@@ -37,12 +37,12 @@ from .transform import SampledFunction2D
 from .verify import (
     FunctionFamily,
     RatioReport,
-    _labelled_stack,
     eq23_report,
     lemma1_report,
     lemma4_report,
     lemma5_report,
     parse_family,
+    theorem_stack,
 )
 
 __all__ = [
@@ -349,9 +349,8 @@ def _theorem_rows(cfg: RunConfig, ctx: GroupContext, families: Sequence[Function
                             alpha=alpha, p=p, k=k, n=n, error=str(exc))
                 for claim, k, n in cases for alpha in cfg.alpha for p in cfg.p
             ]
-    stacked = _labelled_stack([f for _, f in built],
-                              [(family.label, family.seed) for family, _ in built],
-                              cfg.alpha, cfg.p, levels, orders)
+    stacked = theorem_stack([f for _, f in built], cfg.alpha, cfg.p, levels, orders,
+                            labels=[(family.label, family.seed) for family, _ in built])
     for reports in stacked:
         rows += reports
     return rows

@@ -12,17 +12,19 @@ radix-2 stage is one add and one subtract instead: the einsum against the
 exact table [[1, 1], [1, -1]] forms the same a0 + a1 and a0 - a1, since
 0 + a0 and the products by +-1 are exact (only the sign of a zero can
 differ, and no norm sees it).  Two-dimensional grids are
-transformed along the last two axes, the last first, and a single grid's
-result is column-major: norms reduce in memory order, and the last bits of
-reported values depend on it.
+transformed along the last two axes, the last first.
+
+Norms reduce in memory order, so the last bits of reported values depend on
+a grid's layout, and the rule is this: a grid keeps the caller's memory
+order, and transforms and syntheses return row-major values.  The one
+column-major grid is a ``random_poly`` family's, whose sweep reports are
+pinned with its norms reduced in that order.
 
 A spectrum that vanishes outside its leading n x n block has period M_j in
 both variables, M_j the smallest scale >= n, since characters below M_j see
 only the low j digits of a cell id.  Such a spectrum is synthesised on the
 grid of ``ctx.truncate(max(j, 1))`` and tiled back: partial sums, Cesaro
-means and ``random_poly`` families pay for M_j^2 cells, not M_N^2.  The tile
-of a single grid is made column-major, so it has the full synthesis's layout
-as well as its bits.
+means and ``random_poly`` families pay for M_j^2 cells, not M_N^2.
 
 Overflow has one rule.  The forward transforms, a modulus and both sides of
 a theorem report are homogeneous of degree 1 in f, so a grid whose peak |f|
@@ -68,8 +70,8 @@ MAX_CELLS_2D = 1024
 class _GridBase:
     """Complex values on M_N cells or indices per axis, checked and read-only.
 
-    The values are copied in the caller's memory order: norms reduce in
-    memory order, so a layout change would move the last bits of reports.
+    The values are copied in the caller's memory order (see the module
+    docstring for why the layout matters).
     """
 
     ctx: GroupContext
@@ -167,13 +169,8 @@ def _decimate(
 
 
 def _decimate_2d(ctx: GroupContext, values: np.ndarray, sign: int) -> np.ndarray:
-    """The stages along the last two axes, the last first; leading axes are a stack.
-
-    A single grid comes back column-major, as norms reduce in memory order
-    and report bytes depend on it.
-    """
-    out = _decimate(ctx, _decimate(ctx, values, sign, axis=-1), sign, axis=-2)
-    return np.asfortranarray(out) if out.ndim == 2 else out
+    """The stages along the last two axes, the last first; leading axes are a stack."""
+    return _decimate(ctx, _decimate(ctx, values, sign, axis=-1), sign, axis=-2)
 
 
 def fvt_forward(f: SampledFunction1D) -> SpectralGrid1D:
@@ -210,20 +207,15 @@ def _band_synthesis(ctx: GroupContext, coeffs: np.ndarray) -> np.ndarray:
     (one tile at j = N).  The sums are bit for bit those of the full grid,
     since the stages of digits t >= j see only index digit 0 and pass each
     value through times 1; at j = 0 the band is at most the (0, 0)
-    coefficient, and the digit-0 stage is one of those.  The values of a
-    single band come back column-major, a stack's row-major.
+    coefficient, and the digit-0 stage is one of those.
     """
     lead, band = coeffs.shape[:-2], coeffs.shape[-2:]
     sub = ctx.truncate(max(_band_level(ctx, max(band)), 1))
     padded = np.zeros(lead + (sub.size, sub.size), dtype=np.complex128)
     padded[..., : band[0], : band[1]] = coeffs
-    out = _decimate_2d(sub, padded, 1)
     reps = ctx.size // sub.size
-    if lead:
-        return np.tile(out, (1,) * len(lead) + (reps, reps))
-    # Column-major like the full synthesis, as norms reduce in memory order: the
-    # transpose of the column-major result is row-major, and so is its tile.
-    return np.tile(out.T, (reps, reps)).T
+    # reps on the last two axes only: np.tile prepends 1s for the stack axes
+    return np.tile(_decimate_2d(sub, padded, 1), (reps, reps))
 
 
 def partial_sum_rect(grid: SpectralGrid2D, n1: int, n2: int) -> SampledFunction2D:

@@ -182,7 +182,8 @@ class FunctionFamily:
             block = rng.standard_normal((degree, degree)) + 1j * rng.standard_normal(
                 (degree, degree)
             )
-            return SampledFunction2D(ctx, _band_synthesis(ctx, block))
+            # column-major: the pinned sweep bytes reduce its norms in that order
+            return SampledFunction2D(ctx, np.asfortranarray(_band_synthesis(ctx, block)))
         else:
             (seed,) = self.params
             rng = np.random.default_rng(seed)
@@ -557,6 +558,7 @@ def theorem_stack(
     ps: Sequence[float],
     levels: Sequence[int] = (),
     orders: Sequence[int] = (),
+    labels: Sequence[tuple[str, int | None]] | None = None,
 ) -> list[list[RatioReport]]:
     """``theorem_reports`` of each function of one group, in one pass over the stack.
 
@@ -565,20 +567,9 @@ def theorem_stack(
     band synthesis, and each shift's gather and difference.  Every norm is
     taken of one function's own block, in that function's memory order, so
     its reports have the bits it has alone.  Each function takes the
-    overflow rule on its own.
+    overflow rule on its own.  ``labels`` gives each function's (family,
+    seed) for its reports, which are unlabelled without it.
     """
-    return _labelled_stack(functions, [("", None)] * len(functions), alphas, ps, levels, orders)
-
-
-def _labelled_stack(
-    functions: Sequence[SampledFunction2D],
-    labels: Sequence[tuple[str, int | None]],
-    alphas: Sequence[float],
-    ps: Sequence[float],
-    levels: Sequence[int] = (),
-    orders: Sequence[int] = (),
-) -> list[list[RatioReport]]:
-    """``theorem_stack``, each function's reports built with its (family, seed) label."""
     functions = list(functions)
     if not functions:
         return []
@@ -615,7 +606,7 @@ def _labelled_stack(
 
     reports: list[list[RatioReport]] = [[] for _ in functions]
     for j, (b, (_, factor)) in enumerate(zip(stack, scaled)):
-        family, seed = labels[b]
+        family, seed = labels[b] if labels is not None else ("", None)
         omega = {p: [float(w1[i, ::ctx.M[r], j].max()) + float(w2[i, ::ctx.M[r], j].max())
                      for r in range(top)] for i, p in enumerate(ps)}
         for alpha in alphas:

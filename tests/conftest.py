@@ -11,11 +11,14 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 
 def pytest_report_header(config):
-    # the kernel bit tests hold for the BLAS they ran on; name it in every run
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    # the kernel bit tests hold for the BLAS they ran on, and a vector power
+    # for the SIMD dispatch: name both in every run
+    show = np.show_config(mode="dicts")
+    blas = show.get("Build Dependencies", {}).get("blas", {})
+    simd = show.get("SIMD Extensions", {}).get("found")
     return (f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}"
             f" ({blas.get('openblas configuration', 'no OpenBLAS configuration')}),"
-            f" {os.cpu_count()} CPUs")
+            f" SIMD found {simd}, {os.cpu_count()} CPUs")
 
 
 @pytest.fixture

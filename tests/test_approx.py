@@ -206,7 +206,7 @@ class TestCesaroMean:
                 weights = cesaro_weights(n, 0.3)
                 multiplier = np.where(idx < n, weights[np.minimum(idx, n - 1)], 0.0)
                 out = cesaro_mean(grid, n, 0.3).values
-                assert out.flags.f_contiguous
+                assert out.flags.c_contiguous
                 assert np.array_equal(out, full_grid_synthesis(ctx, values * multiplier))
 
     def test_parameter_validation(self, ctx232):
@@ -616,6 +616,26 @@ class TestScreenedDoubleShift:
         monkeypatch.undo()
         monkeypatch.setattr(approx, "_BLOCK_ENTRIES", 2**8)
         assert values() == screened
+
+    @pytest.mark.parametrize("m", [(2, 2, 2, 2), (4, 4), (2, 3, 2), (4, 2, 3), (5, 7)])
+    def test_p3_value_is_the_scalar_root_of_a_shift(self, m):
+        # each shift's norm is the one Lp mean of its (y, x) block, scalar
+        # root included: a vector root's last bit follows numpy's SIMD dispatch
+        ctx = GroupContext(m)
+        f = random_grid_2d(ctx, 1)
+        for level in range(ctx.level + 1):
+            perms = translate_ids(ctx, shift_representatives(ctx, level))
+            for kind in ("omega12", "total"):
+                norms = []
+                for u in perms:
+                    row_diff = f.values[u] - f.values
+                    for v in perms:
+                        if kind == "total":
+                            diff = f.values[np.ix_(u, v)] - f.values
+                        else:
+                            diff = row_diff[:, v] - row_diff
+                        norms.append(approx._lp_mags(np.ascontiguousarray(np.abs(diff).T), 3.0))
+                assert modulus(f, kind, level, 3.0).value == max(norms), (kind, level)
 
     def test_complex64_abs_error(self):
         # the screen's slack assumes far fewer than 2**10 float32 ulps from

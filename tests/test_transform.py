@@ -183,13 +183,13 @@ class TestLayout:
             tracemalloc.stop()
         assert held <= 1 << 20
 
-    def test_2d_results_are_column_major(self, ctx2323):
+    def test_2d_results_are_row_major(self, ctx2323):
         # lp_norm reduces in memory order, so the last bits of every norm, and
         # with them the report bytes, depend on this layout.
         f = random_grid_2d(ctx2323, 41)
         g = fvt_forward_2d(f)
-        assert g.values.flags.f_contiguous
-        assert fvt_inverse_2d(g).values.flags.f_contiguous
+        assert g.values.flags.c_contiguous
+        assert fvt_inverse_2d(g).values.flags.c_contiguous
 
 
 class TestPartialSums:
@@ -227,7 +227,7 @@ class TestPartialSums:
             for n2 in range(size + 1):
                 out = partial_sum_rect(grid, n1, n2).values
                 expected = full_grid_synthesis(ctx2323, grid.values[:n1, :n2])
-                assert out.flags.f_contiguous
+                assert out.flags.c_contiguous
                 assert np.array_equal(out, expected)
 
     def test_truncation_bounds(self, ctx232):
