@@ -499,9 +499,9 @@ class TestSweep:
         assert f"2340 rows (0 errored) -> {out}" in capsys.readouterr().out
         assert len(read_rows(out)) == 2340
         assert sha256(out) == (
-            "be217b0e9a9aac4e7cdb4a87b5b948d479c9810a5b153f3373769c660054fb36")
+            "51beba43b0ed4d374a4bec5b0b4e4788e151d7b8e2a783a28f217daff73b6581")
         assert sha256(tmp_path / "t216.summary.json") == (
-            "72c43c3708ea23c8fe996b70331f7d41a5038479db1cc0918df9cb9e9b7fc317")
+            "5087e37d5bcbe1b83039ae5dcb25341e399290a8a86ba85ffb991dbed6faf83d")
 
     def test_dyadic_theorem_sweep_bytes(self, tmp_path):
         # the theorem rows of the sweep-dyadic benchmark workload; its pinned

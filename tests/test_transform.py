@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import FrozenInstanceError
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -65,6 +66,21 @@ def test_constant_gives_exact_delta(ctx2323):
     coeffs = fvt_forward(f).values
     assert coeffs[0] == 1.0
     assert np.all(coeffs[1:] == 0.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mean_coefficient_is_correctly_rounded(seed):
+    # integer samples sum exactly, so coefficient 0 is their mean rounded
+    # once; a complex division by M_N went through a rounded 1 / M_N
+    ctx = GroupContext((3, 3, 3))
+    n = ctx.size
+    rng = np.random.default_rng(seed)
+    line = rng.integers(-999, 1000, (2, n))
+    grid = rng.integers(-999, 1000, (2, n, n))
+    got = fvt_forward(SampledFunction1D(ctx, line[0] + 1j * line[1])).values[0]
+    assert (got.real, got.imag) == tuple(float(Fraction(int(v.sum()), n)) for v in line)
+    got = fvt_forward_2d(SampledFunction2D(ctx, grid[0] + 1j * grid[1])).values[0, 0]
+    assert (got.real, got.imag) == tuple(float(Fraction(int(v.sum()), n * n)) for v in grid)
 
 
 # The sums of these grids overflow, and |1e308 + 1e308j| does too, yet each

@@ -677,6 +677,17 @@ class TestTheorem1:
             assert report.lhs == 0.0
             assert report.ratio == 0.0
 
+    def test_constant_gives_exact_zero_at_odd_radix(self):
+        # M_N^2 = 729: a division through a rounded 1 / 729 gave f_hat(0, 0) =
+        # 1 - 2^-53, an lhs of 1.1e-16 and, over an rhs of 0, an inf ratio
+        ctx = GroupContext((3, 3, 3))
+        f = FunctionFamily("character", (0, 0)).build(ctx)
+        assert fvt_forward_2d(f).values[0, 0] == 1.0
+        reports = theorem_reports(f, (0.1, 0.5, 0.9), (1.0, 2.0, 3.0, math.inf),
+                                  levels=(1, 2), orders=theorem2_orders(ctx))
+        assert len(reports) == 3 * 4 * (2 + 6)
+        assert all(r.lhs == 0.0 for r in reports)
+
     def test_single_character_frozen_value(self, walsh4):
         f = FunctionFamily("character", (1, 1)).build(walsh4)
         for p in (1.0, 2.0, math.inf):
