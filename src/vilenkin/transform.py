@@ -177,8 +177,9 @@ def _divided(sums: np.ndarray, count: int) -> np.ndarray:
     """``sums`` divided in place by the real ``count``, each part on its own.
 
     numpy divides a complex array by a number as a complex division, through
-    a rounded 1 / count, so the constant 1 on 3^3 cells had f_hat(0, 0) =
-    1 - 2^-53.  One real division per part rounds each part once.
+    a rounded 1 / count, which would give the constant 1 on 3^3 cells
+    f_hat(0, 0) = 1 - 2^-53.  One real division per part rounds each part
+    once.
     """
     sums.real /= count
     sums.imag /= count
