@@ -337,7 +337,8 @@ def _kernel_integrals(ctx: GroupContext, coeffs: np.ndarray) -> float:
     ``_LEAF_ENTRIES`` entries.  A block that takes no more entries than one
     leaf (P <= 256) is formed whole and read by every leaf.  A larger block
     is not held either: the rows of |Q| a leaf reads are formed just before
-    it is summed and dropped after the last leaf that reads them.
+    it is summed, and a formed row is held as a view into its product block
+    until the last leaf that reads it (numpy frees a block with its last row).
 
     Rows are formed in BLAS products of at least 2 rows (a 1-row block takes
     the matrix-vector path and can change the last bits) and at most
@@ -380,28 +381,14 @@ def _kernel_integrals(ctx: GroupContext, coeffs: np.ndarray) -> float:
     last = np.empty(period, dtype=int)
     for i, (j, _) in enumerate(plan):
         last[reads[j]] = i
-    # each row of |Q| held is row ``where`` of ``held[owner]``
-    owner, where = np.empty(period, dtype=int), np.empty(period, dtype=int)
-    held, ends, sums = [], [], {}
+    # row id -> that row of |Q|, a view into its product block
+    held, sums = {}, {}
     for i, (j, new) in enumerate(plan):
         for got, values in _formed_rows(rows, coeffs, new, neg):
-            owner[got], where[got] = len(held), np.arange(len(got))
-            held.append(values)
-            ends.append(last[got].max())
-        read = reads[j]
-        src = owner[read]
-        if src.min() == src.max():
-            block = held[src[0]][where[read]]
-        else:
-            block = np.empty((len(read), period))
-            for b in dict.fromkeys(src.tolist()):
-                mask = src == b
-                block[mask] = held[b][where[read[mask]]]
-        sums[leaves[j]] = _leaf_sum(block, *leaves[j])
-        del block  # not held through the next leaf's products
-        for b, end in enumerate(ends):
-            if end == i:
-                held[b] = None
+            held.update(zip(got.tolist(), values))
+        sums[leaves[j]] = _leaf_sum(np.array([held[u] for u in reads[j].tolist()]), *leaves[j])
+        for u in np.flatnonzero(last == i).tolist():
+            del held[u]
     total = _pairwise_walk(0, side * side, side, period, lambda *leaf: sums[leaf])
     return total / (side * side)
 
