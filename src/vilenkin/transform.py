@@ -227,8 +227,12 @@ def _band_synthesis(ctx: GroupContext, coeffs: np.ndarray) -> np.ndarray:
     padded = np.zeros(lead + (sub.size, sub.size), dtype=np.complex128)
     padded[..., : band[0], : band[1]] = coeffs
     reps = ctx.size // sub.size
+    out = _decimate_2d(sub, padded, 1)
+    if reps == 1:
+        # a stack comes back with its grids interleaved: one copy into C order
+        return np.ascontiguousarray(out)
     # reps on the last two axes only: np.tile prepends 1s for the stack axes
-    return np.tile(_decimate_2d(sub, padded, 1), (reps, reps))
+    return np.tile(out, (reps, reps))
 
 
 def partial_sum_rect(grid: SpectralGrid2D, n1: int, n2: int) -> SampledFunction2D:

@@ -555,9 +555,13 @@ def theorem_stack(
     taken of one function's own block, in that function's memory order, so
     its reports have the bits it has alone.  Each function takes the
     overflow rule on its own.  ``labels`` gives each function's (family,
-    seed) for its reports, which are unlabelled without it.
+    seed) for its reports, one per function; without it they are unlabelled.
     """
     functions = list(functions)
+    if labels is not None:
+        labels = list(labels)
+        if len(labels) != len(functions):
+            raise ValueError(f"{len(labels)} labels for {len(functions)} functions")
     if not functions:
         return []
     ctx = functions[0].ctx

@@ -23,7 +23,7 @@ from vilenkin import (
     psi_values,
 )
 from vilenkin.kernels import _root_table
-from vilenkin.transform import _decimate, _decimate_2d
+from vilenkin.transform import _band_synthesis, _decimate, _decimate_2d
 
 GROUPS = [(2,) * 6, (3,) * 5, (2, 3, 2, 3, 2, 3)]
 GRID_TYPES = [(SampledFunction1D, 1), (SpectralGrid1D, 1),
@@ -245,6 +245,14 @@ class TestPartialSums:
                 expected = full_grid_synthesis(ctx2323, grid.values[:n1, :n2])
                 assert out.flags.c_contiguous
                 assert np.array_equal(out, expected)
+        # a stack, whose one-tile syntheses (n > M_{N-1}) must not come back
+        # with the grids interleaved in memory
+        spectra = np.stack([fvt_forward_2d(random_grid_2d(ctx2323, s)).values for s in (3, 4, 5)])
+        for n in range(1, size + 1):
+            out = _band_synthesis(ctx2323, spectra[:, :n, :n])
+            assert out.flags.c_contiguous, n
+            for b, values in enumerate(spectra):
+                assert np.array_equal(out[b], full_grid_synthesis(ctx2323, values[:n, :n])), (n, b)
 
     def test_truncation_bounds(self, ctx232):
         grid = fvt_forward_2d(random_grid_2d(ctx232, 1))

@@ -39,7 +39,7 @@ from vilenkin import (
     tail_decompose,
     theorem_reports,
 )
-from vilenkin.approx import _lp_mags, shift_representatives
+from vilenkin.approx import MODULUS_KINDS, _lp_mags, shift_representatives
 from vilenkin.cli import eq23_orders, lemma1_coefficient_sets, theorem2_orders
 from vilenkin.group import _negate_ids, translate_ids
 from vilenkin.transform import _safe_scaled
@@ -409,6 +409,24 @@ class TestKernelIntegrals:
                 quad, _, _ = one_shot_kernel_moduli(ctx, coeffs)
                 assert_rows_of_one_product(formed, read, quad)
                 assert_blocks_keep_the_budget(formed, len(quad))
+
+    def test_leaf_walk_on_a_mirrored_period_tiled_three_times(self, monkeypatch):
+        # M_N = 1536 and P = 512: the streamed walk with both the mirror and
+        # rows read again, since leaves end inside rows and each row of |Q|
+        # comes back in all three tiles
+        formed, read = spy_kernel_product(monkeypatch)
+        ctx = GroupContext((2, 4, 4, 4, 4, 3))
+        for n in (300, 512):
+            alternating = np.where(np.arange(n) % 2, 1.0, -0.1)
+            for coeffs in [_kernel_weights(0.1, n, n), _kernel_weights(0.9, n, n), alternating]:
+                formed.clear()
+                read.clear()
+                assert _kernel_integrals(ctx, coeffs) == one_shot_kernel_integrals(ctx, coeffs)
+                quad, _, _ = one_shot_kernel_moduli(ctx, coeffs)
+                assert len(quad) == 512
+                assert_rows_of_one_product(formed, read, quad)
+                assert_blocks_keep_the_budget(formed, len(quad))
+                assert formed_row_count(formed) == mirrored_row_count(ctx, len(quad)) == 272
 
     @pytest.mark.parametrize("m", [(4,) * 5, (1024,), (2,) * 10], ids=["4^5", "1024", "2^10"])
     def test_peak_memory_of_one_call_at_1024_cells(self, m):
@@ -950,6 +968,21 @@ class TestTheoremStack:
             theorem_stack([f, random_grid_2d(GroupContext((2, 3, 2)), 5)], [0.5], [2.0],
                           levels=[1])
 
+    def test_label_count_checked_before_transform(self, ctx2323, monkeypatch):
+        def no_transform(_):
+            raise AssertionError("forward transform ran before the labels were checked")
+
+        functions = [random_grid_2d(ctx2323, 96), random_grid_2d(ctx2323, 97)]
+        labels = [("random_cell", 96), ("random_cell", 97), ("random_cell", 98)]
+        monkeypatch.setattr("vilenkin.verify.fvt_forward_2d", no_transform)
+        for wrong in (labels[:1], labels):
+            with pytest.raises(ValueError, match=f"{len(wrong)} labels for 2 functions"):
+                theorem_stack(functions, [0.5], [2.0], levels=[1], labels=wrong)
+        monkeypatch.undo()
+        rows = theorem_stack(functions, [0.5], [2.0], levels=[1], labels=iter(labels[:2]))
+        assert rows == theorem_stack(functions, [0.5], [2.0], levels=[1], labels=labels[:2])
+        assert [(r.family, r.seed) for r, in rows] == labels[:2]
+
 
 def band_edge_characters_checked(ctx, levels, characters=None, transform_rounding=False):
     """Compare the theorem rows of band-edge characters with the closed form.
@@ -1035,6 +1068,33 @@ class TestTheoremRelations:
             case = (got.claim, got.alpha, got.p, got.k, got.n)
             assert (got.lhs, got.rhs) == (2.0 * want.lhs, 2.0 * want.rhs), case
             assert got.ratio == want.ratio, case
+
+    def test_lift_keeps_the_small_group_rows(self):
+        # g tiles f from 2,4,2 to 2,4,2,2,4,2, so every coefficient of g sits
+        # below M_3 = 16: sigma_n commutes with the lift for n <= 16, the
+        # moduli at levels r < 3 are f's and those at r >= 3 vanish
+        small, big = GroupContext((2, 4, 2)), GroupContext((2, 4, 2, 2, 4, 2))
+        f = random_grid_2d(small, 98)
+        g = SampledFunction2D(big, np.tile(f.values, (16, 16)))
+        alphas, ps, levels, orders = (0.1, 0.5, 0.9), (1.0, 2.0, math.inf), (1, 2), range(4, 16)
+        got = theorem_reports(g, alphas, ps, levels, orders)
+        want = theorem_reports(f, alphas, ps, levels, orders)
+        assert len(got) == len(want) == 126
+        for a, b in zip(got, want):
+            case = (a.claim, a.alpha, a.p, a.k, a.n)
+            assert case == (b.claim, b.alpha, b.p, b.k, b.n)
+            assert a.lhs == pytest.approx(b.lhs, rel=1e-15, abs=0.0), case
+            assert a.rhs == pytest.approx(b.rhs, rel=1e-15, abs=0.0), case
+        for kind in MODULUS_KINDS:
+            for p in ps:
+                for level in range(3, 7):
+                    assert modulus(g, kind, level, p).value == 0.0, (kind, p, level)
+                # p = 1 of the double shifts takes seconds on the 256^2 grid
+                if p == 1.0 and kind in ("omega12", "total"):
+                    continue
+                for level in range(3):
+                    assert modulus(g, kind, level, p).value == pytest.approx(
+                        modulus(f, kind, level, p).value, rel=1e-15, abs=0.0), (kind, p, level)
 
     @pytest.mark.parametrize("name", ["one_sign_1e305", "at_safe_peak", "below_safe_peak"])
     def test_near_overflow_scales_exactly(self, name):
